@@ -7,6 +7,12 @@
 //! the records match the fixtures committed under `tests/golden/` —
 //! bit-for-bit — and that two consecutive in-process runs agree.
 //!
+//! The [`FIT_GOLDENS`] scenarios go one level up: each calls a model's
+//! public fit entry point for [`FIT_GOLDEN_EPOCHS`] epochs on a tiny split
+//! (dropout on, validation probe on) and records the per-epoch mean loss,
+//! so they pin the fit loops themselves — shuffling, sampling, RNG order,
+//! tail handling and the data-parallel shard paths.
+//!
 //! Fixtures are plain text (one token pair per line) so regenerating them
 //! produces reviewable diffs:
 //!
@@ -16,11 +22,15 @@
 //! param enc.item 9e3779b97f4a7c15
 //! ```
 
-use cl4srec::{AugmentationSet, Cl4sRec, Cl4sRecConfig};
+use cl4srec::{AugmentationSet, Cl4sRec, Cl4sRecConfig, PretrainOptions, PretrainReport};
 use seqrec_data::batch::{next_item_batch, NegativeSampler, NextItemBatch};
-use seqrec_models::{EncoderConfig, SasRec};
+use seqrec_data::{Dataset, Split};
+use seqrec_models::{
+    Bert4Rec, Bert4RecConfig, BprMf, BprMfConfig, Caser, CaserConfig, EncoderConfig, Fpmc,
+    FpmcConfig, Gru4Rec, Gru4RecConfig, Ncf, NcfConfig, SasRec, TrainOptions, TrainReport,
+};
 use seqrec_tensor::init::rng;
-use seqrec_tensor::nn::Step;
+use seqrec_tensor::nn::{HasParams, Step};
 use seqrec_tensor::optim::{Adam, AdamConfig};
 
 use crate::digest::digest_params;
@@ -149,6 +159,149 @@ pub fn run_cl4srec_golden() -> GoldenRecord {
     }
     GoldenRecord { losses, params: digest_params(&model) }
 }
+
+/// Epochs each fit-level scenario trains.
+pub const FIT_GOLDEN_EPOCHS: usize = 3;
+
+/// The split every fit-level scenario trains on: ten users over a catalog
+/// of 10. Users 0–8 keep 3–6 training items; user 9 keeps one, so the
+/// loops that need an (input, target) pair drop it and the others train on
+/// it. With batch size 4 the epochs split 4/4/1 or 4/4/2 users — a
+/// singleton tail the contrastive loops skip and a tail the data-parallel
+/// paths run serially.
+pub fn fit_golden_split() -> Split {
+    let seqs = (0..10usize)
+        .map(|u| {
+            let len = if u == 9 { 3 } else { 5 + u % 4 };
+            (0..len).map(|i| ((u * 3 + i * (u % 3 + 1)) % 10) as u32 + 1).collect()
+        })
+        .collect();
+    Split::leave_one_out(&Dataset::new(seqs, 10))
+}
+
+fn fit_golden_options(data_parallel: usize) -> TrainOptions {
+    TrainOptions {
+        epochs: FIT_GOLDEN_EPOCHS,
+        batch_size: 4,
+        lr: 1e-2,
+        seed: 5,
+        patience: Some(2),
+        valid_probe_users: 6,
+        data_parallel,
+        ..TrainOptions::default()
+    }
+}
+
+fn pretrain_golden_options(data_parallel: usize) -> PretrainOptions {
+    PretrainOptions {
+        epochs: FIT_GOLDEN_EPOCHS,
+        batch_size: 4,
+        lr: 1e-2,
+        seed: 5,
+        patience: Some(2),
+        data_parallel,
+        ..PretrainOptions::default()
+    }
+}
+
+fn fit_record(report: &TrainReport, model: &impl HasParams) -> GoldenRecord {
+    let losses = report.epochs.iter().map(|e| e.loss.to_bits()).collect();
+    GoldenRecord { losses, params: digest_params(model) }
+}
+
+fn pretrain_record(report: &PretrainReport, model: &impl HasParams) -> GoldenRecord {
+    let losses = report.losses.iter().map(|l| l.to_bits()).collect();
+    GoldenRecord { losses, params: digest_params(model) }
+}
+
+fn golden_cl4srec() -> (Cl4sRec, AugmentationSet) {
+    let model = Cl4sRec::new(Cl4sRecConfig { encoder: golden_encoder_config(), tau: 0.5 }, 7);
+    let augs = AugmentationSet::paper_full(0.6, 0.5, 0.5, model.mask_token());
+    (model, augs)
+}
+
+fn fit_sasrec(data_parallel: usize) -> GoldenRecord {
+    let mut model = SasRec::new(golden_encoder_config(), 7);
+    let report = model.fit(&fit_golden_split(), &fit_golden_options(data_parallel));
+    fit_record(&report, &model)
+}
+
+fn pretrain(data_parallel: usize) -> GoldenRecord {
+    let (mut model, augs) = golden_cl4srec();
+    let report =
+        model.pretrain(&fit_golden_split(), &augs, &pretrain_golden_options(data_parallel));
+    pretrain_record(&report, &model)
+}
+
+fn fit_joint(data_parallel: usize) -> GoldenRecord {
+    let (mut model, augs) = golden_cl4srec();
+    let opts = fit_golden_options(data_parallel);
+    let report = model.fit_joint(&fit_golden_split(), &augs, 0.1, &opts);
+    fit_record(&report, &model)
+}
+
+/// A named golden scenario: `(fixture file, runner)`.
+pub type GoldenScenario = (&'static str, fn() -> GoldenRecord);
+
+/// Every fit-level scenario: one per fit loop
+/// (the seven baselines' `fit`, CL4SRec pre-training and joint training)
+/// plus the `data_parallel: 2` paths of SASRec `fit`, pre-training and
+/// joint training.
+pub const FIT_GOLDENS: [GoldenScenario; 12] = [
+    ("fit_sasrec.golden", || fit_sasrec(1)),
+    ("fit_bert4rec.golden", || {
+        let cfg = Bert4RecConfig { encoder: golden_encoder_config(), mask_prob: 0.3 };
+        let mut model = Bert4Rec::new(cfg, 7);
+        let report = model.fit(&fit_golden_split(), &fit_golden_options(1));
+        fit_record(&report, &model)
+    }),
+    ("fit_gru4rec.golden", || {
+        let cfg = Gru4RecConfig { num_items: 10, d: 8, max_len: 6, dropout: 0.1 };
+        let mut model = Gru4Rec::new(cfg, 7);
+        let report = model.fit(&fit_golden_split(), &fit_golden_options(1));
+        fit_record(&report, &model)
+    }),
+    ("fit_caser.golden", || {
+        let cfg = CaserConfig {
+            num_items: 10,
+            d: 8,
+            window: 3,
+            heights: vec![2, 3],
+            n_h: 2,
+            n_v: 2,
+            dropout: 0.2,
+        };
+        let split = fit_golden_split();
+        let mut model = Caser::new(cfg, split.num_users(), 7);
+        let report = model.fit(&split, &fit_golden_options(1));
+        fit_record(&report, &model)
+    }),
+    ("fit_ncf.golden", || {
+        let split = fit_golden_split();
+        let mut model = Ncf::new(NcfConfig { d: 8 }, split.num_users(), 10, 7);
+        let report = model.fit(&split, &fit_golden_options(1));
+        fit_record(&report, &model)
+    }),
+    ("fit_fpmc.golden", || {
+        let split = fit_golden_split();
+        let cfg = FpmcConfig { d: 8, weight_decay: 1e-4 };
+        let mut model = Fpmc::new(cfg, split.num_users(), 10, 7);
+        let report = model.fit(&split, &fit_golden_options(1));
+        fit_record(&report, &model)
+    }),
+    ("fit_bprmf.golden", || {
+        let split = fit_golden_split();
+        let cfg = BprMfConfig { d: 8, weight_decay: 1e-4 };
+        let mut model = BprMf::new(cfg, split.num_users(), 10, 7);
+        let report = model.fit(&split, &fit_golden_options(1));
+        fit_record(&report, &model)
+    }),
+    ("pretrain.golden", || pretrain(1)),
+    ("fit_joint.golden", || fit_joint(1)),
+    ("fit_sasrec_dp2.golden", || fit_sasrec(2)),
+    ("pretrain_dp2.golden", || pretrain(2)),
+    ("fit_joint_dp2.golden", || fit_joint(2)),
+];
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,9 @@
 //! trajectory matches the fixtures committed under `tests/golden/`
 //! **bit-for-bit**, and that two consecutive in-process runs agree, so any
 //! engine, RNG, or optimizer change that alters training is caught here
-//! rather than showing up later as silent HR/NDCG drift.
+//! rather than showing up later as silent HR/NDCG drift. The fit-level
+//! scenarios (`FIT_GOLDENS`) do the same through each model's public fit
+//! entry point, one fixture per loop, recording per-epoch losses.
 //!
 //! To regenerate after an *intentional* numerical change:
 //!
@@ -17,7 +19,9 @@
 //!
 //! then review the fixture diff like any other code change (see TESTING.md).
 
-use seqrec_conformance::golden::{run_cl4srec_golden, run_sasrec_golden, GoldenRecord};
+use seqrec_conformance::golden::{
+    run_cl4srec_golden, run_sasrec_golden, GoldenRecord, FIT_GOLDENS,
+};
 use std::path::PathBuf;
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -103,4 +107,15 @@ fn golden_sasrec_trajectory() {
 #[test]
 fn golden_cl4srec_trajectory() {
     check_golden("cl4srec.golden", run_cl4srec_golden);
+}
+
+/// Every fit loop through its public entry point: three epochs on a tiny
+/// split with dropout and the validation probe on, per-epoch loss bits plus
+/// final parameter digests — pins shuffling, negative sampling, RNG order,
+/// tail-batch handling and the `data_parallel: 2` shard paths.
+#[test]
+fn golden_fit_trajectories() {
+    for (name, run) in FIT_GOLDENS {
+        check_golden(name, run);
+    }
 }
