@@ -8,12 +8,12 @@
 //! (Eq. 15) from the pre-trained encoder weights.
 
 use rayon::prelude::*;
-use seqrec_data::batch::{epoch_batches, pad_left};
+use seqrec_data::batch::{next_item_batch, pad_left, NegativeSampler, NextItemBatch};
 use seqrec_data::Split;
 use seqrec_eval::{SequenceScorer, StatefulScorer};
 use seqrec_models::checkpoint::{self, CheckpointError, Checkpointable, TensorData};
 use seqrec_models::common::{
-    AnomalyPolicy, AnomalyReport, EarlyStopper, EpochClock, FitSession, TrainOptions, TrainReport,
+    fit_loop, serial_step, AnomalyPolicy, AnomalyReport, FitSpec, StopOn, TrainOptions, TrainReport,
 };
 use seqrec_models::dp;
 use seqrec_models::encoder::EncoderConfig;
@@ -21,7 +21,7 @@ use seqrec_models::sasrec::SasRec;
 use seqrec_obs::json::Value as JsonValue;
 use seqrec_tensor::init::{rng, TensorRng};
 use seqrec_tensor::nn::{HasParams, Linear, Param, Step};
-use seqrec_tensor::optim::{Adam, AdamConfig};
+use seqrec_tensor::optim::AdamConfig;
 use seqrec_tensor::Var;
 use serde::{Deserialize, Serialize};
 
@@ -222,50 +222,6 @@ impl Cl4sRec {
         nt_xent(step, z1, z2, self.cfg.tau)
     }
 
-    /// One data-parallel contrastive step over `seqs`: contiguous sequence
-    /// shards, per-shard NT-Xent (negatives come from *within* the shard —
-    /// see [`PretrainOptions::data_parallel`]), loss weighted by the
-    /// shard's sequence share inside the tape, deterministic tree
-    /// all-reduce of the gradients. Returns the weighted batch loss and
-    /// the reduced gradients in `visit` order. The augmented views are the
-    /// ones a serial pass with `aug_base` would draw (shards pass their
-    /// global offset into the substream seed); shard `s` draws dropout
-    /// from `rng(step_seed ^ s)`.
-    fn dp_contrastive_step(
-        &self,
-        seqs: &[&[u32]],
-        augs: &AugmentationSet,
-        aug_base: u64,
-        step_seed: u64,
-        shards: usize,
-    ) -> (f32, Vec<Option<seqrec_tensor::Tensor>>) {
-        let ranges = dp::shard_ranges(seqs.len(), shards);
-        let n_total = seqs.len() as f32;
-        let per: Vec<_> = (0..ranges.len())
-            .into_par_iter()
-            .map(|s| {
-                let (lo, hi) = ranges[s];
-                let w = (hi - lo) as f32 / n_total;
-                let mut shard_rng = rng(step_seed ^ s as u64);
-                let mut step = Step::new();
-                let loss = self.contrastive_loss_seeded(
-                    &mut step,
-                    &seqs[lo..hi],
-                    augs,
-                    true,
-                    aug_base,
-                    lo,
-                    &mut shard_rng,
-                );
-                let scaled = step.tape.scale(loss, w);
-                let grads = step.tape.backward(scaled);
-                let gvec = dp::grads_in_visit_order(self, &step, &grads);
-                (step.tape.value(loss).item(), w, gvec)
-            })
-            .collect();
-        dp::combine_shard_results(per)
-    }
-
     /// The joint objective of Eq. 16: next-item BCE on `batch` plus
     /// `lambda ×` the NT-Xent contrastive loss over `seqs` (the same
     /// sequences the batch was built from).
@@ -276,7 +232,7 @@ impl Cl4sRec {
     pub fn joint_loss(
         &self,
         step: &mut Step,
-        batch: &seqrec_data::batch::NextItemBatch,
+        batch: &NextItemBatch,
         seqs: &[&[u32]],
         augs: &AugmentationSet,
         lambda: f32,
@@ -284,61 +240,13 @@ impl Cl4sRec {
         r: &mut TensorRng,
     ) -> Var {
         assert!(lambda >= 0.0, "lambda must be non-negative");
-        let next = self.sasrec.next_item_loss(step, batch, training, r);
+        let next = {
+            let _fwd = seqrec_obs::span!("forward");
+            self.sasrec.next_item_loss(step, batch, training, r)
+        };
         let cl = self.contrastive_loss(step, seqs, augs, training, r);
         let weighted = step.tape.scale(cl, lambda);
         step.tape.add(next, weighted)
-    }
-
-    /// One data-parallel **joint** step (Eq. 16 per shard): each shard
-    /// scales its next-item term by its share of valid targets and its
-    /// contrastive term by `λ ×` its sequence share inside the tape, so
-    /// the tree-reduced gradients match the serial joint gradient exactly
-    /// for the next-item term; the contrastive term uses in-shard
-    /// negatives as in [`Cl4sRec::dp_contrastive_step`].
-    #[allow(clippy::too_many_arguments)]
-    fn dp_joint_step(
-        &self,
-        batch: &seqrec_data::batch::NextItemBatch,
-        seqs: &[&[u32]],
-        augs: &AugmentationSet,
-        lambda: f32,
-        aug_base: u64,
-        step_seed: u64,
-        shards: usize,
-    ) -> (f32, Vec<Option<seqrec_tensor::Tensor>>) {
-        let ranges = dp::shard_ranges(seqs.len(), shards);
-        let total_valid = batch.target_mask.iter().sum::<f32>().max(1.0);
-        let n_total = seqs.len() as f32;
-        let per: Vec<_> = (0..ranges.len())
-            .into_par_iter()
-            .map(|s| {
-                let (lo, hi) = ranges[s];
-                let sub = dp::slice_batch(batch, lo, hi);
-                let w_next = sub.target_mask.iter().sum::<f32>() / total_valid;
-                let w_seq = (hi - lo) as f32 / n_total;
-                let mut shard_rng = rng(step_seed ^ s as u64);
-                let mut step = Step::new();
-                let next = self.sasrec.next_item_loss(&mut step, &sub, true, &mut shard_rng);
-                let cl = self.contrastive_loss_seeded(
-                    &mut step,
-                    &seqs[lo..hi],
-                    augs,
-                    true,
-                    aug_base,
-                    lo,
-                    &mut shard_rng,
-                );
-                let next_w = step.tape.scale(next, w_next);
-                let cl_w = step.tape.scale(cl, lambda * w_seq);
-                let total = step.tape.add(next_w, cl_w);
-                let grads = step.tape.backward(total);
-                let gvec = dp::grads_in_visit_order(self, &step, &grads);
-                let shard_loss = step.tape.value(next).item() + lambda * step.tape.value(cl).item();
-                (shard_loss, w_seq, gvec)
-            })
-            .collect();
-        dp::combine_shard_results(per)
     }
 
     /// Contrastive pre-training over the split's training sequences.
@@ -351,7 +259,10 @@ impl Cl4sRec {
         self.pretrain_on_users(split, augs, opts, None)
     }
 
-    /// Pre-training restricted to a user subset (RQ4 sweeps).
+    /// Pre-training restricted to a user subset (RQ4 sweeps). Early
+    /// stopping watches the training loss; with `opts.data_parallel > 1`
+    /// each batch is sharded by sequences, every shard's NT-Xent weighted
+    /// by its sequence share.
     pub fn pretrain_on_users(
         &mut self,
         split: &Split,
@@ -359,85 +270,61 @@ impl Cl4sRec {
         opts: &PretrainOptions,
         train_users: Option<&[usize]>,
     ) -> PretrainReport {
-        let users: Vec<usize> = train_users
-            .map(<[usize]>::to_vec)
-            .unwrap_or_else(|| (0..split.num_users()).collect())
-            .into_iter()
-            .filter(|&u| split.train_sequence(u).len() >= 2)
-            .collect();
-        assert!(users.len() >= 2, "pre-training needs at least 2 usable users");
-
-        let mut adam = Adam::new(AdamConfig { lr: opts.lr, ..AdamConfig::default() });
+        let loop_opts = TrainOptions {
+            epochs: opts.epochs,
+            batch_size: opts.batch_size,
+            lr: opts.lr,
+            seed: opts.seed,
+            patience: opts.patience,
+            valid_probe_users: 0,
+            probe_every: 0,
+            train_users: train_users.map(<[usize]>::to_vec),
+            verbosity: opts.verbosity,
+            on_anomaly: opts.on_anomaly,
+            run_dir: opts.run_dir.clone(),
+            data_parallel: opts.data_parallel,
+        };
         let mut r = rng(opts.seed);
-        let mut report = PretrainReport::default();
-        let config_json = serde_json::to_string(&self.cfg).expect("config serializes");
-        let opts_json = serde_json::to_string(opts).expect("pretrain options serialize");
-        let mut session = FitSession::with_policy(
-            "CL4SRec-pretrain",
-            &config_json,
-            &opts_json,
-            opts.on_anomaly,
-            opts.run_dir.as_deref(),
-            opts.verbosity,
-        );
-        let mut aborted = false;
-        // EarlyStopper maximises, so feed it the negated loss.
-        let mut stopper = EarlyStopper::new(opts.patience);
-        for epoch in 0..opts.epochs {
-            let _epoch_span = seqrec_obs::span!("epoch");
-            let mut clock = EpochClock::start();
-            let mut loss_sum = 0.0f64;
-            let mut batches = 0usize;
-            for chunk in epoch_batches(&users, opts.batch_size, opts.seed + epoch as u64) {
-                if chunk.len() < 2 {
-                    continue; // a singleton tail batch has no negatives
-                }
-                let _batch_span = seqrec_obs::span!("batch");
-                let seqs: Vec<&[u32]> = chunk.iter().map(|&u| split.train_sequence(u)).collect();
-                let shards = dp::effective_shards(opts.data_parallel, seqs.len());
-                let (batch_loss, stats) = if shards > 1 {
-                    let aug_base = rand::RngCore::next_u64(&mut r);
-                    let step_seed = rand::RngCore::next_u64(&mut r);
-                    let (loss, reduced) =
-                        self.dp_contrastive_step(&seqs, augs, aug_base, step_seed, shards);
-                    (loss, adam.step_with_stats_reduced(self, &reduced))
-                } else {
-                    let mut step = Step::new();
-                    let loss = self.contrastive_loss(&mut step, &seqs, augs, true, &mut r);
-                    let grads = step.tape.backward(loss);
-                    let stats = adam.step_with_stats(self, &step, &grads);
-                    (step.tape.value(loss).item(), stats)
-                };
-                loss_sum += batch_loss as f64;
-                batches += 1;
-                clock.batch_done(chunk.len());
-                if session.observe_step(epoch, batch_loss, &stats) {
-                    aborted = true;
-                    break;
-                }
+        let spec = FitSpec {
+            min_batch: 2,
+            stop_on: StopOn::TrainLoss,
+            ..FitSpec::new("CL4SRec-pretrain", &self.cfg, 2)
+        };
+        let adam = |_| AdamConfig { lr: opts.lr, ..AdamConfig::default() };
+        let report = fit_loop(self, split, &loop_opts, spec, adam, |m, adam, chunk| {
+            let seqs: Vec<&[u32]> = chunk.iter().map(|&u| split.train_sequence(u)).collect();
+            let shards = dp::effective_shards(opts.data_parallel, seqs.len());
+            if shards > 1 {
+                let aug_base = rand::RngCore::next_u64(&mut r);
+                let step_seed = rand::RngCore::next_u64(&mut r);
+                let n_total = seqs.len() as f32;
+                let (loss, reduced) =
+                    dp::shard_step(&*m, seqs.len(), shards, step_seed, |step, (lo, hi), r| {
+                        let w = (hi - lo) as f32 / n_total;
+                        let loss = m.contrastive_loss_seeded(
+                            step,
+                            &seqs[lo..hi],
+                            augs,
+                            true,
+                            aug_base,
+                            lo,
+                            r,
+                        );
+                        (step.tape.scale(loss, w), step.tape.value(loss).item(), w)
+                    });
+                (loss, adam.step_with_stats_reduced(m, &reduced))
+            } else {
+                serial_step(m, adam, |m, step| m.contrastive_loss(step, &seqs, augs, true, &mut r))
             }
-            let mean_loss = (loss_sum / batches.max(1) as f64) as f32;
-            if opts.verbosity >= 1 {
-                seqrec_obs::info!("[cl4srec-pretrain] epoch {epoch}: loss {mean_loss:.4}");
-            }
-            let mut log = clock.finish(epoch, mean_loss, None);
-            session.stamp_epoch(&mut log);
-            report.losses.push(mean_loss);
-            report.epoch_secs.push(log.train_secs);
-            report.seqs_per_sec.push(log.seqs_per_sec);
-            if aborted {
-                break;
-            }
-            if stopper.update(-f64::from(mean_loss)) {
-                report.early_stopped = true;
-                break;
-            }
+        });
+        PretrainReport {
+            losses: report.epochs.iter().map(|e| e.loss).collect(),
+            early_stopped: report.early_stopped,
+            epoch_secs: report.epochs.iter().map(|e| e.train_secs).collect(),
+            seqs_per_sec: report.epochs.iter().map(|e| e.seqs_per_sec).collect(),
+            anomaly: report.anomaly,
+            anomalous_steps: report.anomalous_steps,
         }
-        report.anomaly = session.anomaly().cloned();
-        report.anomalous_steps = session.anomalous_steps();
-        let report_json = serde_json::to_string(&report).expect("pretrain report serializes");
-        session.finish_json(&report_json);
-        report
     }
 
     /// **Joint training** (the ICDE camera-ready variant): optimises
@@ -446,7 +333,11 @@ impl Cl4sRec {
     /// reasonable default at this scale.
     ///
     /// Returns the usual [`TrainReport`]; the reported loss is the joint
-    /// objective.
+    /// objective. With `opts.data_parallel > 1` each shard scales its
+    /// next-item term by its share of valid targets and its contrastive
+    /// term by `λ ×` its sequence share, so the reduced gradients match the
+    /// serial next-item gradient exactly; the contrastive term uses
+    /// in-shard negatives (see [`PretrainOptions::data_parallel`]).
     pub fn fit_joint(
         &mut self,
         split: &Split,
@@ -455,97 +346,52 @@ impl Cl4sRec {
         opts: &TrainOptions,
     ) -> TrainReport {
         assert!(lambda >= 0.0, "lambda must be non-negative");
-        let users: Vec<usize> = opts
-            .train_users
-            .clone()
-            .unwrap_or_else(|| (0..split.num_users()).collect())
-            .into_iter()
-            .filter(|&u| split.train_sequence(u).len() >= 2)
-            .collect();
-        assert!(users.len() >= 2, "joint training needs at least 2 usable users");
-
-        let mut adam = Adam::new(AdamConfig { lr: opts.lr, ..AdamConfig::default() });
-        let mut sampler =
-            seqrec_data::batch::NegativeSampler::new(split.num_items(), opts.seed ^ 0x7c4);
+        let mut sampler = NegativeSampler::new(split.num_items(), opts.seed ^ 0x7c4);
         let mut r = rng(opts.seed);
         let t = self.cfg.encoder.max_len;
-
-        let mut report = TrainReport::default();
-        let mut stopper = EarlyStopper::new(opts.patience);
-        let config_json = serde_json::to_string(&self.cfg).expect("config serializes");
-        let mut session = FitSession::start("CL4SRec-joint", &config_json, opts);
-        let mut aborted = false;
-        for epoch in 0..opts.epochs {
-            let _epoch_span = seqrec_obs::span!("epoch");
-            let mut clock = EpochClock::start();
-            let mut loss_sum = 0.0f64;
-            let mut batches = 0usize;
-            for chunk in epoch_batches(&users, opts.batch_size, opts.seed + epoch as u64) {
-                if chunk.len() < 2 {
-                    continue;
-                }
-                let _batch_span = seqrec_obs::span!("batch");
-                let seqs: Vec<&[u32]> = chunk.iter().map(|&u| split.train_sequence(u)).collect();
-                let batch = seqrec_data::batch::next_item_batch(&seqs, t, &mut sampler);
-                let shards = dp::effective_shards(opts.data_parallel, seqs.len());
-                let (batch_loss, stats) = if shards > 1 {
-                    let aug_base = rand::RngCore::next_u64(&mut r);
-                    let step_seed = rand::RngCore::next_u64(&mut r);
-                    let (loss, reduced) = self
-                        .dp_joint_step(&batch, &seqs, augs, lambda, aug_base, step_seed, shards);
-                    (loss, adam.step_with_stats_reduced(self, &reduced))
-                } else {
-                    let mut step = Step::new();
-                    let loss =
-                        self.joint_loss(&mut step, &batch, &seqs, augs, lambda, true, &mut r);
-                    let grads = step.tape.backward(loss);
-                    let stats = adam.step_with_stats(self, &step, &grads);
-                    (step.tape.value(loss).item(), stats)
-                };
-                loss_sum += batch_loss as f64;
-                batches += 1;
-                clock.batch_done(chunk.len());
-                if session.observe_step(epoch, batch_loss, &stats) {
-                    aborted = true;
-                    break;
-                }
-            }
-            let mean_loss = (loss_sum / batches.max(1) as f64) as f32;
-            let hr10 = (!aborted && opts.should_probe(epoch)).then(|| {
-                clock.probe(|| {
-                    seqrec_models::common::probe_valid_hr10(
-                        self,
-                        split,
-                        opts.valid_probe_users,
-                        opts.seed,
-                    )
+        let spec = FitSpec { min_batch: 2, ..FitSpec::new("CL4SRec-joint", &self.cfg, 2) };
+        let adam = |_| AdamConfig { lr: opts.lr, ..AdamConfig::default() };
+        fit_loop(self, split, opts, spec, adam, |m, adam, chunk| {
+            let seqs: Vec<&[u32]> = chunk.iter().map(|&u| split.train_sequence(u)).collect();
+            let batch = next_item_batch(&seqs, t, &mut sampler);
+            let shards = dp::effective_shards(opts.data_parallel, seqs.len());
+            if shards > 1 {
+                let aug_base = rand::RngCore::next_u64(&mut r);
+                let step_seed = rand::RngCore::next_u64(&mut r);
+                let total_valid = batch.target_mask.iter().sum::<f32>().max(1.0);
+                let n_total = seqs.len() as f32;
+                let (loss, reduced) =
+                    dp::shard_step(&*m, seqs.len(), shards, step_seed, |step, (lo, hi), r| {
+                        let sub = dp::slice_batch(&batch, lo, hi);
+                        let w_next = sub.target_mask.iter().sum::<f32>() / total_valid;
+                        let w_seq = (hi - lo) as f32 / n_total;
+                        let next = {
+                            let _fwd = seqrec_obs::span!("forward");
+                            m.sasrec.next_item_loss(step, &sub, true, r)
+                        };
+                        let cl = m.contrastive_loss_seeded(
+                            step,
+                            &seqs[lo..hi],
+                            augs,
+                            true,
+                            aug_base,
+                            lo,
+                            r,
+                        );
+                        let next_w = step.tape.scale(next, w_next);
+                        let cl_w = step.tape.scale(cl, lambda * w_seq);
+                        let total = step.tape.add(next_w, cl_w);
+                        let shard_loss =
+                            step.tape.value(next).item() + lambda * step.tape.value(cl).item();
+                        (total, shard_loss, w_seq)
+                    });
+                (loss, adam.step_with_stats_reduced(m, &reduced))
+            } else {
+                serial_step(m, adam, |m, step| {
+                    m.joint_loss(step, &batch, &seqs, augs, lambda, true, &mut r)
                 })
-            });
-            if opts.verbosity >= 1 {
-                match hr10 {
-                    Some(h) => seqrec_obs::info!(
-                        "[cl4srec-joint] epoch {epoch}: loss {mean_loss:.4}, valid HR@10 {h:.4}"
-                    ),
-                    None => {
-                        seqrec_obs::info!("[cl4srec-joint] epoch {epoch}: loss {mean_loss:.4}")
-                    }
-                }
             }
-            let mut log = clock.finish(epoch, mean_loss, hr10);
-            session.stamp_epoch(&mut log);
-            report.epochs.push(log);
-            if aborted {
-                break;
-            }
-            if hr10.is_some_and(|h| stopper.update(h)) {
-                report.early_stopped = true;
-                break;
-            }
-        }
-        report.best_valid_hr10 = stopper.best();
-        report.finish_timing();
-        session.finish(&mut report);
-        report
+        })
     }
 
     /// Fine-tuning (§3.5): drops the projection head and optimises Eq. 15

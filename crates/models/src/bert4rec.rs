@@ -10,16 +10,16 @@
 //! catalog.
 
 use rand::Rng;
-use seqrec_data::batch::{epoch_batches, pad_left};
+use seqrec_data::batch::pad_left;
 use seqrec_data::Split;
 use seqrec_eval::{SequenceScorer, StatefulScorer};
 use seqrec_tensor::init::{rng, TensorRng};
 use seqrec_tensor::nn::{HasParams, Param, Step};
-use seqrec_tensor::optim::{Adam, AdamConfig};
+use seqrec_tensor::optim::AdamConfig;
 use seqrec_tensor::{linalg, Tensor, Var};
 use serde::{Deserialize, Serialize};
 
-use crate::common::{EarlyStopper, EpochClock, FitSession, TrainOptions, TrainReport};
+use crate::common::{fit_loop, serial_step, FitSpec, TrainOptions, TrainReport};
 use crate::encoder::{EncoderConfig, TransformerEncoder};
 
 /// BERT4Rec hyper-parameters.
@@ -115,75 +115,16 @@ impl Bert4Rec {
     /// Trains with Adam on the cloze objective, early-stopping on the usual
     /// validation HR@10 probe.
     pub fn fit(&mut self, split: &Split, opts: &TrainOptions) -> TrainReport {
-        let users: Vec<usize> = opts
-            .train_users
-            .clone()
-            .unwrap_or_else(|| (0..split.num_users()).collect())
-            .into_iter()
-            .filter(|&u| !split.train_sequence(u).is_empty())
-            .collect();
-        assert!(!users.is_empty(), "no trainable users");
-        let mut adam = Adam::new(AdamConfig { lr: opts.lr, ..AdamConfig::default() });
         let mut r = rng(opts.seed);
-
-        let mut report = TrainReport::default();
-        let mut stopper = EarlyStopper::new(opts.patience);
-        let config_json = serde_json::to_string(&self.cfg).expect("config serializes");
-        let mut session = FitSession::start("BERT4Rec", &config_json, opts);
-        let mut aborted = false;
-        for epoch in 0..opts.epochs {
-            let _epoch_span = seqrec_obs::span!("epoch");
-            let mut clock = EpochClock::start();
-            let mut loss_sum = 0.0f64;
-            let mut batches = 0usize;
-            for chunk in epoch_batches(&users, opts.batch_size, opts.seed + epoch as u64) {
-                let _batch_span = seqrec_obs::span!("batch");
-                let seqs: Vec<&[u32]> = chunk.iter().map(|&u| split.train_sequence(u)).collect();
-                let mut step = Step::new();
-                let loss = {
-                    let _fwd = seqrec_obs::span!("forward");
-                    self.cloze_loss(&mut step, &seqs, true, &mut r)
-                };
-                let grads = step.tape.backward(loss);
-                let stats = adam.step_with_stats(&mut self.encoder, &step, &grads);
-                let batch_loss = step.tape.value(loss).item();
-                loss_sum += batch_loss as f64;
-                batches += 1;
-                clock.batch_done(chunk.len());
-                if session.observe_step(epoch, batch_loss, &stats) {
-                    aborted = true;
-                    break;
-                }
-            }
-            let mean_loss = (loss_sum / batches.max(1) as f64) as f32;
-            let hr10 = (!aborted && opts.should_probe(epoch)).then(|| {
-                clock.probe(|| {
-                    crate::common::probe_valid_hr10(self, split, opts.valid_probe_users, opts.seed)
-                })
-            });
-            if opts.verbosity >= 1 {
-                match hr10 {
-                    Some(h) => seqrec_obs::info!(
-                        "[bert4rec] epoch {epoch}: loss {mean_loss:.4}, valid HR@10 {h:.4}"
-                    ),
-                    None => seqrec_obs::info!("[bert4rec] epoch {epoch}: loss {mean_loss:.4}"),
-                }
-            }
-            let mut log = clock.finish(epoch, mean_loss, hr10);
-            session.stamp_epoch(&mut log);
-            report.epochs.push(log);
-            if aborted {
-                break;
-            }
-            if hr10.is_some_and(|h| stopper.update(h)) {
-                report.early_stopped = true;
-                break;
-            }
-        }
-        report.best_valid_hr10 = stopper.best();
-        report.finish_timing();
-        session.finish(&mut report);
-        report
+        let spec = FitSpec::new("BERT4Rec", &self.cfg, 1);
+        let adam = |_| AdamConfig { lr: opts.lr, ..AdamConfig::default() };
+        fit_loop(self, split, opts, spec, adam, |m, adam, chunk| {
+            let seqs: Vec<&[u32]> = chunk.iter().map(|&u| split.train_sequence(u)).collect();
+            serial_step(m, adam, |m, step| {
+                let _fwd = seqrec_obs::span!("forward");
+                m.cloze_loss(step, &seqs, true, &mut r)
+            })
+        })
     }
 }
 

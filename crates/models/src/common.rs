@@ -1,13 +1,18 @@
 //! Shared training plumbing: options, per-epoch logs with wall-clock
-//! timing, early stopping, and the [`EpochClock`] that meters every fit
-//! loop (batches, sequences, per-phase seconds) through `seqrec_obs`.
+//! timing, the anomaly-watching [`FitSession`], and [`fit_loop`] — the one
+//! epoch/batch loop every model in the workspace trains through.
 
+use std::collections::HashSet;
 use std::time::Instant;
 
+use seqrec_data::batch::{epoch_batches, NegativeSampler};
 use seqrec_data::Split;
 use seqrec_eval::{evaluate, EvalOptions, EvalTarget, SequenceScorer};
 use seqrec_obs::ledger::RunLedger;
 use seqrec_tensor::dynamics::OptimStepStats;
+use seqrec_tensor::nn::{HasParams, Step};
+use seqrec_tensor::optim::{Adam, AdamConfig};
+use seqrec_tensor::Var;
 use serde::{Deserialize, Serialize};
 
 /// What a fit loop does when the loss, a gradient, an update or a
@@ -111,6 +116,10 @@ pub struct TrainOptions {
     /// is available), and tree-all-reduce the gradients before a single
     /// optimiser step (see [`crate::dp`]). 1 (the default) keeps the
     /// classic serial step, bit-identical to previous releases.
+    ///
+    /// Only SASRec `fit` (and so CL4SRec `finetune`) and CL4SRec
+    /// `fit_joint` honour this. The other fit loops always take the serial
+    /// step, although their run ledger records the requested value.
     pub data_parallel: usize,
 }
 
@@ -188,8 +197,7 @@ pub struct TrainReport {
     /// How many optimiser steps observed a non-finite quantity.
     pub anomalous_steps: u64,
     /// High-water mark of the `tensor.live_bytes` gauge over the process
-    /// so far at session close, in MiB (0 until [`FitSession::finish`]
-    /// stamps it).
+    /// so far at session close, in MiB (0 until the fit finishes).
     pub peak_tensor_mib: f64,
 }
 
@@ -203,44 +211,227 @@ impl TrainReport {
     pub fn final_loss(&self) -> f32 {
         self.epochs.last().map_or(f32::NAN, |e| e.loss)
     }
+}
 
-    /// Fills the aggregate timing fields from the per-epoch logs. Every fit
-    /// loop calls this once before returning its report.
-    pub fn finish_timing(&mut self) {
-        self.total_train_secs = self.epochs.iter().map(|e| e.train_secs).sum();
-        self.total_probe_secs = self.epochs.iter().map(|e| e.probe_secs).sum();
-        let seqs: u64 = self.epochs.iter().map(|e| e.sequences).sum();
-        self.mean_seqs_per_sec =
-            if self.total_train_secs > 0.0 { seqs as f64 / self.total_train_secs } else { 0.0 };
+/// What early stopping watches.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StopOn {
+    /// Validation HR@10 from the probe, on the epochs
+    /// [`TrainOptions::should_probe`] picks.
+    ValidHr10,
+    /// The negated mean training loss, every epoch (contrastive
+    /// pre-training has no validation target).
+    TrainLoss,
+}
+
+/// How one model plugs into [`fit_loop`].
+pub struct FitSpec {
+    /// Model name: the ledger's `"model"` and, lowercased, the tag of the
+    /// per-epoch log line (`SASRec` → `[sasrec]`).
+    pub name: &'static str,
+    /// The model's hyper-parameters as JSON, for the ledger.
+    pub config_json: String,
+    /// Fewest training items a user needs to be trained on.
+    pub min_len: usize,
+    /// Smallest chunk worth a step: smaller tail chunks are skipped
+    /// (in-batch negatives need two rows). Also the fewest trainable users
+    /// the fit accepts.
+    pub min_batch: usize,
+    /// What early stopping watches.
+    pub stop_on: StopOn,
+}
+
+impl FitSpec {
+    /// A next-item fit: every chunk steps, early stopping on the probe.
+    pub fn new(name: &'static str, config: &impl Serialize, min_len: usize) -> FitSpec {
+        FitSpec {
+            name,
+            config_json: serde_json::to_string(config).expect("config serializes"),
+            min_len,
+            min_batch: 1,
+            stop_on: StopOn::ValidHr10,
+        }
     }
 }
 
-/// Per-epoch stopwatch shared by every fit loop: meters batches and
-/// sequences into the process-global `seqrec_obs` counters, times the
-/// validation probe separately from training, and assembles the
-/// [`EpochLog`].
-pub struct EpochClock {
+/// The fit loop every model trains through (Adam, mini-batches, early
+/// stopping — the paper's protocol for every method and both CL4SRec
+/// stages).
+///
+/// Filters `opts.train_users` (everyone when None) to users with at least
+/// `spec.min_len` training items, builds the optimiser from
+/// `adam(trainable_users)`, then runs up to `opts.epochs` epochs over
+/// seeded shuffles (`opts.seed + epoch`, wrapping). Each chunk of users
+/// goes to `step`, which builds the loss, backpropagates and applies the
+/// Adam update, returning the batch loss and the step statistics. The loop
+/// owns everything else: the `epoch`/`batch`/`probe` spans, throughput
+/// metering, the anomaly sentinel and its abort, the validation probe,
+/// early stopping, the verbosity line and the run ledger.
+///
+/// Adding a model is a loss builder plus a step closure:
+///
+/// ```text
+/// pub fn fit(&mut self, split: &Split, opts: &TrainOptions) -> TrainReport {
+///     let mut sampler = NegativeSampler::new(split.num_items(), opts.seed ^ 0x11);
+///     let spec = FitSpec::new("MyModel", &self.cfg, 2);
+///     fit_loop(self, split, opts, spec, |_| AdamConfig { lr: opts.lr, ..AdamConfig::default() },
+///         |m, adam, chunk| {
+///             let batch = /* build from chunk, drawing from sampler */;
+///             serial_step(m, adam, |m, step| {
+///                 let _fwd = seqrec_obs::span!("forward");
+///                 m.loss(step, &batch)
+///             })
+///         })
+/// }
+/// ```
+///
+/// # Panics
+/// Panics when fewer than `spec.min_batch` (at least one) users are
+/// trainable, or when `opts.run_dir` is set but the ledger cannot be
+/// created.
+pub fn fit_loop<M: SequenceScorer>(
+    model: &mut M,
+    split: &Split,
+    opts: &TrainOptions,
+    spec: FitSpec,
+    adam: impl FnOnce(usize) -> AdamConfig,
+    mut step: impl FnMut(&mut M, &mut Adam, &[usize]) -> (f32, OptimStepStats),
+) -> TrainReport {
+    let users: Vec<usize> = match &opts.train_users {
+        Some(users) => users.clone(),
+        None => (0..split.num_users()).collect(),
+    }
+    .into_iter()
+    .filter(|&u| split.train_sequence(u).len() >= spec.min_len)
+    .collect();
+    assert!(
+        users.len() >= spec.min_batch.max(1),
+        "{}: no trainable users (need {} with at least {} training items, have {})",
+        spec.name,
+        spec.min_batch.max(1),
+        spec.min_len,
+        users.len()
+    );
+    let mut adam = Adam::new(adam(users.len()));
+    let mut session = FitSession::start(spec.name, &spec.config_json, opts);
+    let tag = spec.name.to_lowercase();
+    let mut stopper = EarlyStopper::new(opts.patience);
+    let mut report = TrainReport::default();
+    let mut aborted = false;
+    for epoch in 0..opts.epochs {
+        let _epoch_span = seqrec_obs::span!("epoch");
+        let mut clock = EpochClock::start();
+        let mut loss_sum = 0.0f64;
+        let mut batches = 0usize;
+        for chunk in epoch_batches(&users, opts.batch_size, opts.seed.wrapping_add(epoch as u64)) {
+            if chunk.len() < spec.min_batch {
+                continue;
+            }
+            let _batch_span = seqrec_obs::span!("batch");
+            let (batch_loss, stats) = step(model, &mut adam, &chunk);
+            loss_sum += batch_loss as f64;
+            batches += 1;
+            clock.batch_done(chunk.len());
+            if session.observe_step(epoch, batch_loss, &stats) {
+                aborted = true;
+                break;
+            }
+        }
+        let mean_loss = (loss_sum / batches.max(1) as f64) as f32;
+        let hr10 = (!aborted && spec.stop_on == StopOn::ValidHr10 && opts.should_probe(epoch))
+            .then(|| {
+                clock.probe(|| probe_valid_hr10(&*model, split, opts.valid_probe_users, opts.seed))
+            });
+        if opts.verbosity >= 1 {
+            match hr10 {
+                Some(h) => seqrec_obs::info!(
+                    "[{tag}] epoch {epoch}: loss {mean_loss:.4}, valid HR@10 {h:.4}"
+                ),
+                None => seqrec_obs::info!("[{tag}] epoch {epoch}: loss {mean_loss:.4}"),
+            }
+        }
+        let mut log = clock.finish(epoch, mean_loss, hr10);
+        session.stamp_epoch(&mut log);
+        report.epochs.push(log);
+        if aborted {
+            break;
+        }
+        let watched = match spec.stop_on {
+            StopOn::ValidHr10 => hr10,
+            StopOn::TrainLoss => Some(-f64::from(mean_loss)),
+        };
+        if watched.is_some_and(|v| stopper.update(v)) {
+            report.early_stopped = true;
+            break;
+        }
+    }
+    if spec.stop_on == StopOn::ValidHr10 {
+        report.best_valid_hr10 = stopper.best();
+    }
+    report.total_train_secs = report.epochs.iter().map(|e| e.train_secs).sum();
+    report.total_probe_secs = report.epochs.iter().map(|e| e.probe_secs).sum();
+    let seqs: u64 = report.epochs.iter().map(|e| e.sequences).sum();
+    report.mean_seqs_per_sec =
+        if report.total_train_secs > 0.0 { seqs as f64 / report.total_train_secs } else { 0.0 };
+    session.finish(&mut report);
+    report
+}
+
+/// One serial optimiser step for a [`fit_loop`] step closure: builds the
+/// loss on a fresh tape, backpropagates it and applies Adam to `model`.
+/// Returns the batch loss and the step statistics.
+pub fn serial_step<M: HasParams + ?Sized>(
+    model: &mut M,
+    adam: &mut Adam,
+    loss: impl FnOnce(&M, &mut Step) -> Var,
+) -> (f32, OptimStepStats) {
+    let mut step = Step::new();
+    let loss = loss(model, &mut step);
+    let grads = step.tape.backward(loss);
+    let stats = adam.step_with_stats(model, &step, &grads);
+    (step.tape.value(loss).item(), stats)
+}
+
+/// `(user, positive, negative)` triples for a chunk of users: every
+/// training interaction is a positive, paired with a fresh negative the
+/// user never interacted with (one epoch covers the whole training matrix,
+/// as in the original BPR and NCF).
+pub(crate) fn interaction_triples(
+    split: &Split,
+    chunk: &[usize],
+    sampler: &mut NegativeSampler,
+) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let (mut u_ids, mut pos_ids, mut neg_ids) = (Vec::new(), Vec::new(), Vec::new());
+    for &u in chunk {
+        let seq = split.train_sequence(u);
+        let exclude: HashSet<u32> = seq.iter().copied().collect();
+        for &item in seq {
+            u_ids.push(u as u32);
+            pos_ids.push(item);
+            neg_ids.push(sampler.sample(&exclude));
+        }
+    }
+    (u_ids, pos_ids, neg_ids)
+}
+
+/// Per-epoch stopwatch: meters batches and sequences into the
+/// process-global `seqrec_obs` counters, times the validation probe
+/// separately from training, and assembles the [`EpochLog`].
+struct EpochClock {
     epoch_start: Instant,
     batch_start: Instant,
     sequences: u64,
     probe_secs: f64,
 }
 
-impl Default for EpochClock {
-    fn default() -> Self {
-        Self::start()
-    }
-}
-
 impl EpochClock {
-    /// Starts timing an epoch.
-    pub fn start() -> Self {
+    fn start() -> Self {
         let now = Instant::now();
         EpochClock { epoch_start: now, batch_start: now, sequences: 0, probe_secs: 0.0 }
     }
 
     /// Records one finished batch of `n_seqs` training sequences.
-    pub fn batch_done(&mut self, n_seqs: usize) {
+    fn batch_done(&mut self, n_seqs: usize) {
         self.sequences += n_seqs as u64;
         seqrec_obs::metrics::TRAIN_BATCHES.incr();
         seqrec_obs::metrics::TRAIN_SEQUENCES.add(n_seqs as u64);
@@ -252,7 +443,7 @@ impl EpochClock {
 
     /// Runs `f` inside a `"probe"` span, timing it separately so probe cost
     /// never pollutes training throughput.
-    pub fn probe<T>(&mut self, f: impl FnOnce() -> T) -> T {
+    fn probe<T>(&mut self, f: impl FnOnce() -> T) -> T {
         let _span = seqrec_obs::span!("probe");
         let t0 = Instant::now();
         let out = f();
@@ -261,7 +452,7 @@ impl EpochClock {
     }
 
     /// Closes the epoch and produces its log entry.
-    pub fn finish(self, epoch: usize, loss: f32, valid_hr10: Option<f64>) -> EpochLog {
+    fn finish(self, epoch: usize, loss: f32, valid_hr10: Option<f64>) -> EpochLog {
         let train_secs = (self.epoch_start.elapsed().as_secs_f64() - self.probe_secs).max(0.0);
         EpochLog {
             epoch,
@@ -286,25 +477,14 @@ fn json_num(v: f64) -> String {
     }
 }
 
-/// Per-run training-dynamics recorder shared by every fit loop: feeds the
+/// Per-run training-dynamics recorder behind [`fit_loop`]: feeds the
 /// optimiser-step statistics into the `seqrec_obs` metric registry, watches
 /// for NaN/Inf (loss, gradients, updates, parameters) under the configured
 /// [`AnomalyPolicy`], and — when [`TrainOptions::run_dir`] is set — writes
 /// the run ledger (config/env/metrics/dynamics/report files).
 ///
-/// Usage inside a fit loop:
-///
-/// ```text
-/// let mut session = FitSession::start("SASRec", &config_json, &opts);
-/// ...
-///   let stats = adam.step_with_stats(&mut model, &step, &grads);
-///   if session.observe_step(epoch, loss, &stats) { break 'training; }
-/// ...
-///   let mut log = clock.finish(epoch, mean_loss, hr10);
-///   session.stamp_epoch(&mut log);
-/// ...
-/// session.finish(&mut report);
-/// ```
+/// [`fit_loop`] opens one per fit, feeds it every optimiser step and
+/// closes it into the [`TrainReport`]; a model never drives it directly.
 pub struct FitSession {
     policy: AnomalyPolicy,
     verbosity: u8,
@@ -328,48 +508,25 @@ impl FitSession {
     /// directory cannot be created — a run that silently loses its
     /// provenance record is worse than a crash.
     pub fn start(model: &str, config_json: &str, opts: &TrainOptions) -> FitSession {
-        FitSession::with_policy(
-            model,
-            config_json,
-            &serde_json::to_string(opts).expect("train options serialize"),
-            opts.on_anomaly,
-            opts.run_dir.as_deref(),
-            opts.verbosity,
-        )
-    }
-
-    /// Fully-explicit constructor for fit loops whose options struct is not
-    /// [`TrainOptions`] (CL4SRec pre-training): `options_json` is whatever
-    /// options struct the caller trains with, serialised to JSON.
-    ///
-    /// # Panics
-    /// Panics when `run_dir` is set but the ledger cannot be created.
-    pub fn with_policy(
-        model: &str,
-        config_json: &str,
-        options_json: &str,
-        policy: AnomalyPolicy,
-        run_dir: Option<&str>,
-        verbosity: u8,
-    ) -> FitSession {
-        let ledger = run_dir.map(|dir| {
+        let ledger = opts.run_dir.as_deref().map(|dir| {
             let l = RunLedger::create(dir)
                 .unwrap_or_else(|e| panic!("cannot create run ledger at {dir}: {e}"));
-            let mut cfg = String::with_capacity(256 + config_json.len());
+            let options_json = serde_json::to_string(opts).expect("train options serialize");
+            let mut cfg = String::with_capacity(256 + config_json.len() + options_json.len());
             cfg.push_str("{\"model\":");
             seqrec_obs::json::write_str(&mut cfg, model);
             cfg.push_str(",\"config\":");
             cfg.push_str(config_json);
             cfg.push_str(",\"options\":");
-            cfg.push_str(options_json);
+            cfg.push_str(&options_json);
             cfg.push('}');
             l.write_config(&cfg);
             l.write_env_snapshot();
             l
         });
         FitSession {
-            policy,
-            verbosity,
+            policy: opts.on_anomaly,
+            verbosity: opts.verbosity,
             ledger,
             anomaly: None,
             anomalous_steps: 0,
@@ -457,7 +614,7 @@ impl FitSession {
     /// Fills the epoch log's dynamics fields from the steps observed since
     /// the previous call, resets the accumulators, and appends the log to
     /// the ledger's `metrics.jsonl`.
-    pub fn stamp_epoch(&mut self, log: &mut EpochLog) {
+    fn stamp_epoch(&mut self, log: &mut EpochLog) {
         if self.epoch_steps > 0 {
             let n = self.epoch_steps as f64;
             log.grad_norm = self.grad_norm_sum / n;
@@ -483,21 +640,10 @@ impl FitSession {
         self.anomalous_steps
     }
 
-    /// Closes a session whose run reports through a type other than
-    /// [`TrainReport`] (CL4SRec pre-training): copy the anomaly state out
-    /// via [`FitSession::anomaly`]/[`FitSession::anomalous_steps`] first,
-    /// then hand the serialised report here for the ledger.
-    pub fn finish_json(self, report_json: &str) {
-        if let Some(l) = &self.ledger {
-            l.write_report(report_json);
-        }
-    }
-
     /// Closes the session: moves the anomaly record into the report,
     /// stamps the tensor-memory high-water mark, and writes the ledger's
-    /// final `report.json`. Call after `report.finish_timing()` so the
-    /// totals land in the ledger too.
-    pub fn finish(self, report: &mut TrainReport) {
+    /// final `report.json`.
+    fn finish(self, report: &mut TrainReport) {
         report.anomaly = self.anomaly;
         report.anomalous_steps = self.anomalous_steps;
         report.peak_tensor_mib =
@@ -508,8 +654,8 @@ impl FitSession {
     }
 }
 
-/// Tracks validation progress and decides when to stop.
-pub struct EarlyStopper {
+/// Tracks the watched value and decides when to stop.
+struct EarlyStopper {
     patience: Option<usize>,
     best: f64,
     since_best: usize,
@@ -517,12 +663,12 @@ pub struct EarlyStopper {
 
 impl EarlyStopper {
     /// Creates a stopper; `patience = None` never stops.
-    pub fn new(patience: Option<usize>) -> Self {
+    fn new(patience: Option<usize>) -> Self {
         EarlyStopper { patience, best: f64::NEG_INFINITY, since_best: 0 }
     }
 
-    /// Best value seen so far.
-    pub fn best(&self) -> f64 {
+    /// Best value seen so far (0 before any).
+    fn best(&self) -> f64 {
         if self.best.is_finite() {
             self.best
         } else {
@@ -530,8 +676,8 @@ impl EarlyStopper {
         }
     }
 
-    /// Feeds a new validation value; returns true when training should stop.
-    pub fn update(&mut self, value: f64) -> bool {
+    /// Feeds a new value; returns true when training should stop.
+    fn update(&mut self, value: f64) -> bool {
         if value > self.best {
             self.best = value;
             self.since_best = 0;
@@ -544,7 +690,7 @@ impl EarlyStopper {
 }
 
 /// Probes validation HR@10 on a deterministic subset of users.
-pub fn probe_valid_hr10(
+fn probe_valid_hr10(
     model: &impl SequenceScorer,
     split: &Split,
     probe_users: usize,

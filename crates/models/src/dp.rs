@@ -15,9 +15,11 @@
 //! exactly, up to the float re-association inherent in the tree sum — the
 //! equivalence suite bounds that at ≤1e-6 relative.
 
+use rayon::prelude::*;
 use seqrec_data::batch::NextItemBatch;
+use seqrec_tensor::init::{rng, TensorRng};
 use seqrec_tensor::nn::{HasParams, Step};
-use seqrec_tensor::{Gradients, Tensor};
+use seqrec_tensor::{Gradients, Tensor, Var};
 
 /// Splits `n_rows` into at most `shards` contiguous, near-equal,
 /// non-empty ranges. Fewer ranges come back when there aren't enough rows.
@@ -111,12 +113,41 @@ pub fn effective_shards(data_parallel: usize, n_rows: usize) -> usize {
     data_parallel.min(n_rows / 2).max(1)
 }
 
-/// Combines per-shard `(loss, weight, grads)` results: records the shard
-/// loss spread, then returns the weighted batch loss and the tree-reduced
-/// gradient vector (in shard-index order, as always).
-pub fn combine_shard_results(
-    per: Vec<(f32, f32, Vec<Option<Tensor>>)>,
-) -> (f32, Vec<Option<Tensor>>) {
+/// One data-parallel step over a batch of `n_rows` rows: splits the rows
+/// into at most `shards` contiguous ranges and, for every range on its own
+/// tape (on the pool when one is available), calls
+/// `loss(step, (lo, hi), shard_rng)`, backpropagates the returned
+/// objective and collects `model`'s gradients in `visit` order. Shard `s`
+/// draws dropout from `rng(step_seed ^ s)`, so the step depends only on
+/// `(step_seed, shards)`, never on worker scheduling.
+///
+/// `loss` returns `(objective, report_loss, weight)`: the objective is the
+/// shard loss already scaled by the shard's share of the batch inside the
+/// tape, so the shard gradients sum to the full-batch gradient. Returns
+/// the batch loss `Σ weight × report_loss` and the tree-reduced gradients,
+/// ready for [`seqrec_tensor::optim::Adam::step_with_stats_reduced`].
+pub fn shard_step<M, F>(
+    model: &M,
+    n_rows: usize,
+    shards: usize,
+    step_seed: u64,
+    loss: F,
+) -> (f32, Vec<Option<Tensor>>)
+where
+    M: HasParams + Sync + ?Sized,
+    F: Fn(&mut Step, (usize, usize), &mut TensorRng) -> (Var, f32, f32) + Sync,
+{
+    let ranges = shard_ranges(n_rows, shards);
+    let per: Vec<(f32, f32, Vec<Option<Tensor>>)> = (0..ranges.len())
+        .into_par_iter()
+        .map(|s| {
+            let mut shard_rng = rng(step_seed ^ s as u64);
+            let mut step = Step::new();
+            let (objective, report_loss, w) = loss(&mut step, ranges[s], &mut shard_rng);
+            let grads = step.tape.backward(objective);
+            (report_loss, w, grads_in_visit_order(model, &step, &grads))
+        })
+        .collect();
     let losses: Vec<f32> = per.iter().map(|(l, _, _)| *l).collect();
     observe_shard_spread(&losses);
     let loss = per.iter().map(|(l, w, _)| l * w).sum();
@@ -125,8 +156,8 @@ pub fn combine_shard_results(
 }
 
 /// Records the spread of per-shard losses (max − min, in milli-units) so
-/// shard divergence is visible next to PR 5's per-group gradient norms.
-pub fn observe_shard_spread(losses: &[f32]) {
+/// shard divergence is visible next to the per-group gradient norms.
+fn observe_shard_spread(losses: &[f32]) {
     if losses.len() < 2 {
         return;
     }

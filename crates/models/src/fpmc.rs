@@ -11,16 +11,16 @@
 
 use std::collections::HashSet;
 
-use seqrec_data::batch::{epoch_batches, NegativeSampler};
+use seqrec_data::batch::NegativeSampler;
 use seqrec_data::Split;
 use seqrec_eval::{SequenceScorer, StatefulScorer};
 use seqrec_tensor::init::{self, rng};
 use seqrec_tensor::nn::{HasParams, Param, Step};
-use seqrec_tensor::optim::{Adam, AdamConfig};
+use seqrec_tensor::optim::AdamConfig;
 use seqrec_tensor::{linalg, Tensor, Var};
 use serde::{Deserialize, Serialize};
 
-use crate::common::{EarlyStopper, EpochClock, FitSession, TrainOptions, TrainReport};
+use crate::common::{fit_loop, serial_step, FitSpec, TrainOptions, TrainReport};
 
 /// FPMC hyper-parameters.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -121,92 +121,28 @@ impl Fpmc {
     /// every training sequence, once per epoch.
     pub fn fit(&mut self, split: &Split, opts: &TrainOptions) -> TrainReport {
         assert_eq!(split.num_users(), self.num_users, "split/model user mismatch");
-        let users: Vec<usize> = opts
-            .train_users
-            .clone()
-            .unwrap_or_else(|| (0..split.num_users()).collect())
-            .into_iter()
-            .filter(|&u| split.train_sequence(u).len() >= 2)
-            .collect();
-        assert!(!users.is_empty(), "no user has a training transition");
-        let mut adam = Adam::new(AdamConfig {
-            lr: opts.lr,
-            weight_decay: self.cfg.weight_decay,
-            ..AdamConfig::default()
-        });
         let mut sampler = NegativeSampler::new(split.num_items(), opts.seed ^ 0xf3);
-
-        let mut report = TrainReport::default();
-        let mut stopper = EarlyStopper::new(opts.patience);
-        let config_json = serde_json::to_string(&self.cfg).expect("config serializes");
-        let mut session = FitSession::start("FPMC", &config_json, opts);
-        let mut aborted = false;
-        for epoch in 0..opts.epochs {
-            let _epoch_span = seqrec_obs::span!("epoch");
-            let mut clock = EpochClock::start();
-            let mut loss_sum = 0.0f64;
-            let mut batches = 0usize;
-            for chunk in epoch_batches(&users, opts.batch_size, opts.seed + epoch as u64) {
-                let _batch_span = seqrec_obs::span!("batch");
-                let mut u_ids = Vec::new();
-                let mut last_ids = Vec::new();
-                let mut pos_ids = Vec::new();
-                let mut neg_ids = Vec::new();
-                for &u in &chunk {
-                    let seq = split.train_sequence(u);
-                    let exclude: HashSet<u32> = seq.iter().copied().collect();
-                    for w in seq.windows(2) {
-                        u_ids.push(u as u32);
-                        last_ids.push(w[0]);
-                        pos_ids.push(w[1]);
-                        neg_ids.push(sampler.sample(&exclude));
-                    }
-                }
-                let mut step = Step::new();
-                let loss = {
-                    let _fwd = seqrec_obs::span!("forward");
-                    self.bpr_loss(&mut step, &u_ids, &last_ids, &pos_ids, &neg_ids)
-                };
-                let grads = step.tape.backward(loss);
-                let stats = adam.step_with_stats(self, &step, &grads);
-                let batch_loss = step.tape.value(loss).item();
-                loss_sum += batch_loss as f64;
-                batches += 1;
-                clock.batch_done(chunk.len());
-                if session.observe_step(epoch, batch_loss, &stats) {
-                    aborted = true;
-                    break;
+        let spec = FitSpec::new("FPMC", &self.cfg, 2);
+        let weight_decay = self.cfg.weight_decay;
+        let adam = |_| AdamConfig { lr: opts.lr, weight_decay, ..AdamConfig::default() };
+        fit_loop(self, split, opts, spec, adam, |m, adam, chunk| {
+            let (mut u_ids, mut last_ids) = (Vec::new(), Vec::new());
+            let (mut pos_ids, mut neg_ids) = (Vec::new(), Vec::new());
+            for &u in chunk {
+                let seq = split.train_sequence(u);
+                let exclude: HashSet<u32> = seq.iter().copied().collect();
+                for w in seq.windows(2) {
+                    u_ids.push(u as u32);
+                    last_ids.push(w[0]);
+                    pos_ids.push(w[1]);
+                    neg_ids.push(sampler.sample(&exclude));
                 }
             }
-            let mean_loss = (loss_sum / batches.max(1) as f64) as f32;
-            let hr10 = (!aborted && opts.should_probe(epoch)).then(|| {
-                clock.probe(|| {
-                    crate::common::probe_valid_hr10(self, split, opts.valid_probe_users, opts.seed)
-                })
-            });
-            if opts.verbosity >= 1 {
-                match hr10 {
-                    Some(h) => seqrec_obs::info!(
-                        "[fpmc] epoch {epoch}: loss {mean_loss:.4}, valid HR@10 {h:.4}"
-                    ),
-                    None => seqrec_obs::info!("[fpmc] epoch {epoch}: loss {mean_loss:.4}"),
-                }
-            }
-            let mut log = clock.finish(epoch, mean_loss, hr10);
-            session.stamp_epoch(&mut log);
-            report.epochs.push(log);
-            if aborted {
-                break;
-            }
-            if hr10.is_some_and(|h| stopper.update(h)) {
-                report.early_stopped = true;
-                break;
-            }
-        }
-        report.best_valid_hr10 = stopper.best();
-        report.finish_timing();
-        session.finish(&mut report);
-        report
+            serial_step(m, adam, |m, step| {
+                let _fwd = seqrec_obs::span!("forward");
+                m.bpr_loss(step, &u_ids, &last_ids, &pos_ids, &neg_ids)
+            })
+        })
     }
 }
 

@@ -38,7 +38,7 @@ pub use bert4rec::{Bert4Rec, Bert4RecConfig};
 pub use bprmf::{BprMf, BprMfConfig};
 pub use caser::{Caser, CaserConfig};
 pub use checkpoint::{CheckpointError, Checkpointable};
-pub use common::{EarlyStopper, TrainOptions, TrainReport};
+pub use common::{TrainOptions, TrainReport};
 pub use encoder::{EncoderConfig, TransformerEncoder};
 pub use fpmc::{Fpmc, FpmcConfig};
 pub use gru4rec::{Gru4Rec, Gru4RecConfig};

@@ -3,18 +3,18 @@
 //! Non-sequential baseline fusing a GMF branch (elementwise product of user
 //! and item factors) with an MLP branch over the concatenated embeddings.
 
-use std::collections::HashSet;
-
-use seqrec_data::batch::{epoch_batches, NegativeSampler};
+use seqrec_data::batch::NegativeSampler;
 use seqrec_data::Split;
 use seqrec_eval::{SequenceScorer, StatefulScorer};
 use seqrec_tensor::init::{self, rng};
 use seqrec_tensor::nn::{HasParams, Linear, Param, Step};
-use seqrec_tensor::optim::{Adam, AdamConfig};
+use seqrec_tensor::optim::AdamConfig;
 use seqrec_tensor::Var;
 use serde::{Deserialize, Serialize};
 
-use crate::common::{EarlyStopper, EpochClock, FitSession, TrainOptions, TrainReport};
+use crate::common::{
+    fit_loop, interaction_triples, serial_step, FitSpec, TrainOptions, TrainReport,
+};
 
 /// NCF hyper-parameters.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -118,87 +118,16 @@ impl Ncf {
     /// Trains with pointwise BCE on `(u, i⁺)` vs one sampled `(u, i⁻)`.
     pub fn fit(&mut self, split: &Split, opts: &TrainOptions) -> TrainReport {
         assert_eq!(split.num_users(), self.num_users, "split/model user mismatch");
-        let users: Vec<usize> = opts
-            .train_users
-            .clone()
-            .unwrap_or_else(|| (0..split.num_users()).collect())
-            .into_iter()
-            .filter(|&u| !split.train_sequence(u).is_empty())
-            .collect();
-        let mut adam = Adam::new(AdamConfig { lr: opts.lr, ..AdamConfig::default() });
         let mut sampler = NegativeSampler::new(split.num_items(), opts.seed ^ 0xce);
-
-        let mut report = TrainReport::default();
-        let mut stopper = EarlyStopper::new(opts.patience);
-        let config_json = serde_json::to_string(&self.cfg).expect("config serializes");
-        let mut session = FitSession::start("NCF", &config_json, opts);
-        let mut aborted = false;
-        for epoch in 0..opts.epochs {
-            let _epoch_span = seqrec_obs::span!("epoch");
-            let mut clock = EpochClock::start();
-            let mut loss_sum = 0.0f64;
-            let mut batches = 0usize;
-            for chunk in epoch_batches(&users, opts.batch_size, opts.seed + epoch as u64) {
-                let _batch_span = seqrec_obs::span!("batch");
-                // every training interaction is a positive (one epoch covers
-                // the whole interaction matrix, as in the NCF paper).
-                let mut u_ids = Vec::new();
-                let mut pos_ids = Vec::new();
-                let mut neg_ids = Vec::new();
-                for &u in &chunk {
-                    let seq = split.train_sequence(u);
-                    let exclude: HashSet<u32> = seq.iter().copied().collect();
-                    for &item in seq {
-                        u_ids.push(u as u32);
-                        pos_ids.push(item);
-                        neg_ids.push(sampler.sample(&exclude));
-                    }
-                }
-                let mut step = Step::new();
-                let loss = {
-                    let _fwd = seqrec_obs::span!("forward");
-                    self.bce_loss(&mut step, &u_ids, &pos_ids, &neg_ids)
-                };
-                let grads = step.tape.backward(loss);
-                let stats = adam.step_with_stats(self, &step, &grads);
-                let batch_loss = step.tape.value(loss).item();
-                loss_sum += batch_loss as f64;
-                batches += 1;
-                clock.batch_done(chunk.len());
-                if session.observe_step(epoch, batch_loss, &stats) {
-                    aborted = true;
-                    break;
-                }
-            }
-            let mean_loss = (loss_sum / batches.max(1) as f64) as f32;
-            let hr10 = (!aborted && opts.should_probe(epoch)).then(|| {
-                clock.probe(|| {
-                    crate::common::probe_valid_hr10(self, split, opts.valid_probe_users, opts.seed)
-                })
-            });
-            if opts.verbosity >= 1 {
-                match hr10 {
-                    Some(h) => seqrec_obs::info!(
-                        "[ncf] epoch {epoch}: loss {mean_loss:.4}, valid HR@10 {h:.4}"
-                    ),
-                    None => seqrec_obs::info!("[ncf] epoch {epoch}: loss {mean_loss:.4}"),
-                }
-            }
-            let mut log = clock.finish(epoch, mean_loss, hr10);
-            session.stamp_epoch(&mut log);
-            report.epochs.push(log);
-            if aborted {
-                break;
-            }
-            if hr10.is_some_and(|h| stopper.update(h)) {
-                report.early_stopped = true;
-                break;
-            }
-        }
-        report.best_valid_hr10 = stopper.best();
-        report.finish_timing();
-        session.finish(&mut report);
-        report
+        let spec = FitSpec::new("NCF", &self.cfg, 1);
+        let adam = |_| AdamConfig { lr: opts.lr, ..AdamConfig::default() };
+        fit_loop(self, split, opts, spec, adam, |m, adam, chunk| {
+            let (u_ids, pos_ids, neg_ids) = interaction_triples(split, chunk, &mut sampler);
+            serial_step(m, adam, |m, step| {
+                let _fwd = seqrec_obs::span!("forward");
+                m.bce_loss(step, &u_ids, &pos_ids, &neg_ids)
+            })
+        })
     }
 }
 

@@ -5,18 +5,15 @@
 //! encoder output is scored against the true next item and one sampled
 //! negative with binary cross-entropy.
 
-use rayon::prelude::*;
-use seqrec_data::batch::{
-    epoch_batches, next_item_batch, pad_left, NegativeSampler, NextItemBatch,
-};
+use seqrec_data::batch::{next_item_batch, pad_left, NegativeSampler, NextItemBatch};
 use seqrec_data::Split;
 use seqrec_eval::{SequenceScorer, StatefulScorer};
 use seqrec_tensor::init::{rng, TensorRng};
 use seqrec_tensor::nn::{HasParams, Param, Step};
-use seqrec_tensor::optim::{Adam, AdamConfig, LrSchedule};
+use seqrec_tensor::optim::{AdamConfig, LrSchedule};
 use seqrec_tensor::{linalg, Tensor, Var};
 
-use crate::common::{EarlyStopper, EpochClock, FitSession, TrainOptions, TrainReport};
+use crate::common::{fit_loop, serial_step, FitSpec, TrainOptions, TrainReport};
 use crate::dp;
 use crate::encoder::{EncoderConfig, TransformerEncoder};
 
@@ -93,140 +90,48 @@ impl SasRec {
         step.tape.masked_mean(losses, &mask)
     }
 
-    /// One data-parallel training step: shard the batch into contiguous
-    /// row ranges, run forward/backward per shard (each shard owns its own
-    /// tape, so shards can execute on different pool workers), and
-    /// tree-all-reduce the shard gradients. Returns the full-batch loss
-    /// and the reduced gradients in `visit` order, ready for
-    /// [`Adam::step_with_stats_reduced`].
-    ///
-    /// Each shard's loss is scaled inside its tape by the shard's share of
-    /// the batch's valid targets, so the summed shard gradients equal the
-    /// serial full-batch masked-mean gradient up to tree-sum
-    /// re-association. Shard `s` draws dropout from `rng(step_seed ^ s)`;
-    /// the step therefore depends only on `(step_seed, shards)`, never on
-    /// worker scheduling.
-    fn dp_shard_step(
-        &self,
-        batch: &NextItemBatch,
-        shards: usize,
-        step_seed: u64,
-    ) -> (f32, Vec<Option<Tensor>>) {
-        let ranges = dp::shard_ranges(batch.b, shards);
-        let total_valid = batch.target_mask.iter().sum::<f32>().max(1.0);
-        let per: Vec<(f32, f32, Vec<Option<Tensor>>)> = (0..ranges.len())
-            .into_par_iter()
-            .map(|s| {
-                let (lo, hi) = ranges[s];
-                let sub = dp::slice_batch(batch, lo, hi);
-                let w = sub.target_mask.iter().sum::<f32>() / total_valid;
-                let mut shard_rng = rng(step_seed ^ s as u64);
-                let mut step = Step::new();
-                let loss = {
-                    let _fwd = seqrec_obs::span!("forward");
-                    self.next_item_loss(&mut step, &sub, true, &mut shard_rng)
-                };
-                let scaled = step.tape.scale(loss, w);
-                let grads = step.tape.backward(scaled);
-                let gvec = dp::grads_in_visit_order(&self.encoder, &step, &grads);
-                (step.tape.value(loss).item(), w, gvec)
-            })
-            .collect();
-        dp::combine_shard_results(per)
-    }
-
     /// Trains with Adam + linear LR decay and early stopping on a
-    /// validation HR@10 probe.
+    /// validation HR@10 probe. With `opts.data_parallel > 1` each batch is
+    /// sharded by rows ([`dp::shard_step`]), every shard's loss scaled by
+    /// its share of the batch's valid targets.
     pub fn fit(&mut self, split: &Split, opts: &TrainOptions) -> TrainReport {
-        let users: Vec<usize> = opts
-            .train_users
-            .clone()
-            .unwrap_or_else(|| (0..split.num_users()).collect())
-            .into_iter()
-            .filter(|&u| split.train_sequence(u).len() >= 2)
-            .collect();
-        assert!(!users.is_empty(), "no trainable users (all sequences too short)");
-
-        let steps_per_epoch = users.len().div_ceil(opts.batch_size);
-        let mut adam = Adam::new(AdamConfig {
-            lr: opts.lr,
-            schedule: LrSchedule::LinearDecay {
-                total_steps: (opts.epochs * steps_per_epoch) as u64,
-                min_factor: 0.1,
-            },
-            ..AdamConfig::default()
-        });
         let mut sampler = NegativeSampler::new(split.num_items(), opts.seed ^ 0x5a5a);
         let mut r = rng(opts.seed);
         let t = self.encoder.config().max_len;
-
-        let mut report = TrainReport::default();
-        let mut stopper = EarlyStopper::new(opts.patience);
-        let config_json = serde_json::to_string(self.encoder.config()).expect("config serializes");
-        let mut session = FitSession::start("SASRec", &config_json, opts);
-        let mut aborted = false;
-        for epoch in 0..opts.epochs {
-            let _epoch_span = seqrec_obs::span!("epoch");
-            let mut clock = EpochClock::start();
-            let mut loss_sum = 0.0f64;
-            let mut batches = 0usize;
-            for chunk in epoch_batches(&users, opts.batch_size, opts.seed + epoch as u64) {
-                let _batch_span = seqrec_obs::span!("batch");
-                let seqs: Vec<&[u32]> = chunk.iter().map(|&u| split.train_sequence(u)).collect();
-                let batch = next_item_batch(&seqs, t, &mut sampler);
-                let shards = dp::effective_shards(opts.data_parallel, batch.b);
-                let (batch_loss, stats) = if shards > 1 {
-                    let step_seed = rand::RngCore::next_u64(&mut r);
-                    let (loss, reduced) = self.dp_shard_step(&batch, shards, step_seed);
-                    (loss, adam.step_with_stats_reduced(&mut self.encoder, &reduced))
-                } else {
-                    let mut step = Step::new();
-                    let loss = {
-                        let _fwd = seqrec_obs::span!("forward");
-                        self.next_item_loss(&mut step, &batch, true, &mut r)
-                    };
-                    let grads = step.tape.backward(loss);
-                    let stats = adam.step_with_stats(&mut self.encoder, &step, &grads);
-                    (step.tape.value(loss).item(), stats)
-                };
-                loss_sum += batch_loss as f64;
-                batches += 1;
-                clock.batch_done(chunk.len());
-                if session.observe_step(epoch, batch_loss, &stats) {
-                    aborted = true;
-                    break;
-                }
-            }
-            let mean_loss = (loss_sum / batches.max(1) as f64) as f32;
-
-            let hr10 = (!aborted && opts.should_probe(epoch)).then(|| {
-                clock.probe(|| {
-                    crate::common::probe_valid_hr10(self, split, opts.valid_probe_users, opts.seed)
+        let spec = FitSpec::new("SASRec", self.encoder.config(), 2);
+        let adam = |users: usize| AdamConfig {
+            lr: opts.lr,
+            schedule: LrSchedule::LinearDecay {
+                total_steps: (opts.epochs * users.div_ceil(opts.batch_size)) as u64,
+                min_factor: 0.1,
+            },
+            ..AdamConfig::default()
+        };
+        fit_loop(self, split, opts, spec, adam, |m, adam, chunk| {
+            let seqs: Vec<&[u32]> = chunk.iter().map(|&u| split.train_sequence(u)).collect();
+            let batch = next_item_batch(&seqs, t, &mut sampler);
+            let shards = dp::effective_shards(opts.data_parallel, batch.b);
+            if shards > 1 {
+                let step_seed = rand::RngCore::next_u64(&mut r);
+                let total_valid = batch.target_mask.iter().sum::<f32>().max(1.0);
+                let (loss, reduced) =
+                    dp::shard_step(&*m, batch.b, shards, step_seed, |step, (lo, hi), r| {
+                        let sub = dp::slice_batch(&batch, lo, hi);
+                        let w = sub.target_mask.iter().sum::<f32>() / total_valid;
+                        let loss = {
+                            let _fwd = seqrec_obs::span!("forward");
+                            m.next_item_loss(step, &sub, true, r)
+                        };
+                        (step.tape.scale(loss, w), step.tape.value(loss).item(), w)
+                    });
+                (loss, adam.step_with_stats_reduced(m, &reduced))
+            } else {
+                serial_step(m, adam, |m, step| {
+                    let _fwd = seqrec_obs::span!("forward");
+                    m.next_item_loss(step, &batch, true, &mut r)
                 })
-            });
-            if opts.verbosity >= 1 {
-                match hr10 {
-                    Some(h) => seqrec_obs::info!(
-                        "[sasrec] epoch {epoch}: loss {mean_loss:.4}, valid HR@10 {h:.4}"
-                    ),
-                    None => seqrec_obs::info!("[sasrec] epoch {epoch}: loss {mean_loss:.4}"),
-                }
             }
-            let mut log = clock.finish(epoch, mean_loss, hr10);
-            session.stamp_epoch(&mut log);
-            report.epochs.push(log);
-            if aborted {
-                break;
-            }
-            if hr10.is_some_and(|h| stopper.update(h)) {
-                report.early_stopped = true;
-                break;
-            }
-        }
-        report.best_valid_hr10 = stopper.best();
-        report.finish_timing();
-        session.finish(&mut report);
-        report
+        })
     }
 
     /// Encodes histories into `[B, d]` user representations without
@@ -361,6 +266,22 @@ mod tests {
         assert_eq!(got.data()[..6 * 16], vec![0.5; 6 * 16][..]);
         // the [mask] row (row 6) keeps its original init
         assert!(got.data()[6 * 16..].iter().any(|&v| v != 0.5));
+    }
+
+    #[test]
+    fn max_seed_trains_past_the_first_epoch() {
+        // The per-epoch shuffle seed is `seed + epoch`, wrapping.
+        let ds = cyclic_dataset(6, 12, 6);
+        let split = Split::leave_one_out(&ds);
+        let mut model = SasRec::new(tiny_cfg(6), 6);
+        let opts = TrainOptions {
+            epochs: 2,
+            batch_size: 8,
+            seed: u64::MAX,
+            valid_probe_users: 6,
+            ..Default::default()
+        };
+        assert_eq!(model.fit(&split, &opts).epochs_run(), 2);
     }
 
     #[test]

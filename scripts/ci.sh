@@ -23,6 +23,15 @@ bash scripts/test.sh
 echo "== scripts/test.sh (SEQREC_THREADS=2: thread-count invariance)"
 SEQREC_THREADS=2 bash scripts/test.sh
 
+# The benchmark package is its own workspace, so the steps above never
+# build it — yet it drives the public fit API. Build, unit-test and smoke
+# it here so a signature change in crates/* cannot break it silently.
+echo "== benchmark package tests"
+cargo test --offline --manifest-path benchmark/Cargo.toml -q
+
+echo "== benchmark smoke (every workload, tiny, checked)"
+bash benchmark/run.sh --smoke
+
 SMOKE_RUNS="target/ci_smoke_runs"
 for SMOKE_THREADS in 1 2; do
 echo "== instrumented smoke train at SEQREC_THREADS=$SMOKE_THREADS (JSONL sink + mem trace + run ledger)"

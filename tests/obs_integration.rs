@@ -9,7 +9,11 @@
 //!    epoch → batch → augment/forward/ntxent/backward/optim, i.e. the trace
 //!    opens as a meaningful flame chart.
 //!
-//! The sink is process-global, so both tests serialise on `SINK_LOCK`.
+//! 3. **Joint-training phases**: both encoder passes of a `fit_joint` batch
+//!    (next-item and contrastive) run under their own `forward` span, so
+//!    traces never charge encoder work to the batch's self time.
+//!
+//! The sink is process-global, so the tests serialise on `SINK_LOCK`.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -20,6 +24,7 @@ use seqrec_data::{Dataset, Split};
 use seqrec_models::encoder::EncoderConfig;
 use seqrec_models::TrainOptions;
 use seqrec_obs::json::{self, Value};
+use seqrec_obs::profile::{Node, Profile};
 use seqrec_obs::sink::{self, SharedBuf};
 use seqrec_obs::JsonlSink;
 
@@ -203,4 +208,49 @@ fn profiler_folds_a_two_stage_trace_and_exclusive_times_sum_to_wall_clock() {
         folded.lines().any(|l| l.contains(";")),
         "folded stacks carry no nested paths:\n{folded}"
     );
+}
+
+/// True when some `forward` span in the subtree at `idx` sits inside
+/// another `forward` span (`inside`: an ancestor already is one).
+fn nested_forward(nodes: &[Node], idx: usize, inside: bool) -> bool {
+    let here = nodes[idx].name == "forward";
+    (inside && here)
+        || nodes[idx].children.iter().any(|&c| nested_forward(nodes, c, inside || here))
+}
+
+#[test]
+fn fit_joint_runs_both_encoder_passes_under_forward_spans() {
+    let _g = lock();
+    let buf = SharedBuf::new();
+    sink::install(Arc::new(JsonlSink::to_writer(Box::new(buf.clone()))));
+    let split = Split::leave_one_out(&toy_dataset());
+    let mut model = Cl4sRec::new(tiny_cfg(12), 9);
+    let augs = AugmentationSet::paper_full(0.6, 0.3, 0.5, model.mask_token());
+    let opts = TrainOptions {
+        epochs: 1,
+        batch_size: 8,
+        patience: None,
+        probe_every: 0,
+        ..Default::default()
+    };
+    model.fit_joint(&split, &augs, 0.1, &opts);
+    sink::uninstall();
+
+    let events = seqrec_obs::profile::parse_auto(&buf.contents())
+        .unwrap_or_else(|e| panic!("trace did not parse: {e}"));
+    let profile = Profile::build(&events).unwrap_or_else(|e| panic!("trace did not fold: {e}"));
+    let nodes = profile.nodes();
+    let child = |parent: usize, name: &str| {
+        nodes[parent].children.iter().copied().find(|&c| nodes[c].name == name)
+    };
+    let tree = profile.render_tree();
+    let batch = child(0, "epoch").and_then(|e| child(e, "batch")).expect("epoch;batch spans");
+    let forward = child(batch, "forward").unwrap_or_else(|| panic!("no forward spans:\n{tree}"));
+    assert_eq!(nodes[batch].count, 3, "24 users in batches of 8");
+    assert_eq!(
+        nodes[forward].count,
+        2 * nodes[batch].count,
+        "each joint batch runs a next-item and a contrastive forward:\n{tree}"
+    );
+    assert!(!nested_forward(nodes, 0, false), "a forward span nests inside another:\n{tree}");
 }
