@@ -233,9 +233,9 @@ pub struct FitSpec {
     pub config_json: String,
     /// Fewest training items a user needs to be trained on.
     pub min_len: usize,
-    /// Smallest chunk worth a step: smaller tail chunks are skipped
-    /// (in-batch negatives need two rows). Also the fewest trainable users
-    /// the fit accepts.
+    /// Smallest chunk worth a step (at least 1): smaller tail chunks are
+    /// skipped (in-batch negatives need two rows). Also the fewest
+    /// trainable users the fit accepts.
     pub min_batch: usize,
     /// What early stopping watches.
     pub stop_on: StopOn,
@@ -286,8 +286,7 @@ impl FitSpec {
 /// ```
 ///
 /// # Panics
-/// Panics when fewer than `spec.min_batch` (at least one) users are
-/// trainable, or when `opts.run_dir` is set but the ledger cannot be
+/// Panics when fewer than `spec.min_batch` users are trainable, or when `opts.run_dir` is set but the ledger cannot be
 /// created.
 pub fn fit_loop<M: SequenceScorer>(
     model: &mut M,
@@ -305,10 +304,10 @@ pub fn fit_loop<M: SequenceScorer>(
     .filter(|&u| split.train_sequence(u).len() >= spec.min_len)
     .collect();
     assert!(
-        users.len() >= spec.min_batch.max(1),
+        users.len() >= spec.min_batch,
         "{}: no trainable users (need {} with at least {} training items, have {})",
         spec.name,
-        spec.min_batch.max(1),
+        spec.min_batch,
         spec.min_len,
         users.len()
     );
