@@ -86,7 +86,7 @@ impl Value {
 /// Returns a human-readable description of the first syntax error, with
 /// its byte offset.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -97,6 +97,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -203,12 +204,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next `"` or
+                    // `\` as one slice. Both are ASCII, so they never occur
+                    // inside a multi-byte scalar and the run ends on a char
+                    // boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -315,5 +320,32 @@ mod tests {
     #[test]
     fn parses_unicode_escapes() {
         assert_eq!(parse(r#""Aé""#).unwrap().as_str(), Some("Aé"));
+        assert_eq!(
+            parse(r#""naïve \"ß\"\n→ 日本""#).unwrap().as_str(),
+            Some("naïve \"ß\"\n→ 日本")
+        );
+    }
+
+    #[test]
+    fn parses_a_mebibyte_trace_in_linear_time() {
+        // A Chrome-trace-shaped array: a per-character re-validation of the
+        // rest of the input once made parse time quadratic in its size.
+        let mut doc = String::from("[");
+        let mut n = 0;
+        while doc.len() < 1 << 20 {
+            if n > 0 {
+                doc.push(',');
+            }
+            doc.push_str(&format!(
+                r#"{{"name":"epoch/batch/forward","cat":"span","ph":"X","ts":{n},"dur":7,"pid":1,"tid":2,"args":{{"path":"fit/epoch/batch"}}}}"#
+            ));
+            n += 1;
+        }
+        doc.push(']');
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let secs = start.elapsed().as_secs_f64();
+        assert_eq!(v.as_arr().unwrap().len(), n);
+        assert!(secs < 2.0, "parsing {} bytes took {secs:.2} s", doc.len());
     }
 }

@@ -22,6 +22,21 @@ use crate::shape::Shape;
 /// `seqrec_obs::mem` lifetime tracer (`SEQREC_OBS=mem=...` or the
 /// in-process interval recorder), which attributes every buffer to the
 /// span path that allocated it.
+///
+/// **Allocator policy.** The first `Buf` pins two glibc malloc thresholds
+/// for the whole process: `M_MMAP_THRESHOLD` to its 64-bit maximum of
+/// 32 MiB and `M_TRIM_THRESHOLD` to −1 (no trimming). A training step or an
+/// evaluation call frees its whole tape at once: hundreds of MiB in
+/// buffers of a few hundred KiB to about 10 MiB each. Under glibc's
+/// dynamic thresholds that memory went back to the kernel (`munmap` or a
+/// heap trim) and the next step faulted every page in again, so the kernel
+/// spent about as long faulting in and zeroing pages as an evaluation call
+/// spent computing. Pinned, freed buffers stay on the heap's free lists and
+/// the next step reuses them. The cost: the heap no longer shrinks, so the
+/// process RSS stays at its peak once reached (`TENSOR_LIVE_BYTES` still
+/// counts only live buffers). The limits: this is glibc only (other targets
+/// compile none of it), and a tensor above 32 MiB still gets its own
+/// `mmap`, which is unmapped on drop as before.
 pub(crate) struct Buf {
     data: Vec<f32>,
     /// Lifetime-tracing id handed out by `seqrec_obs::mem` (0 when
@@ -31,10 +46,36 @@ pub(crate) struct Buf {
 
 impl Buf {
     fn new(data: Vec<f32>) -> Self {
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        {
+            static PINNED: std::sync::Once = std::sync::Once::new();
+            PINNED.call_once(pin_malloc_thresholds);
+        }
         let bytes = data.capacity() * 4;
         seqrec_obs::metrics::TENSOR_LIVE_BYTES.add(bytes as i64);
         let trace_id = seqrec_obs::mem::on_alloc(bytes);
         Buf { data, trace_id }
+    }
+}
+
+/// Keeps freed heap memory resident: see "Allocator policy" on [`Buf`].
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn pin_malloc_thresholds() {
+    use std::ffi::c_int;
+    // `<malloc.h>` parameter numbers.
+    const M_TRIM_THRESHOLD: c_int = -1;
+    const M_MMAP_THRESHOLD: c_int = -3;
+    extern "C" {
+        fn mallopt(param: c_int, value: c_int) -> c_int;
+    }
+    // SAFETY: `mallopt` takes two plain integers and only changes malloc's
+    // tuning parameters, under the main arena's lock; it touches no memory
+    // of ours. Both values are in range (`man 3 mallopt`: 32 MiB is the
+    // 64-bit mmap-threshold maximum, −1 disables trimming). A rejected
+    // value returns 0 and leaves glibc's defaults in place, which is safe.
+    unsafe {
+        mallopt(M_MMAP_THRESHOLD, 32 << 20);
+        mallopt(M_TRIM_THRESHOLD, -1);
     }
 }
 

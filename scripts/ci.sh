@@ -23,6 +23,13 @@ bash scripts/test.sh
 echo "== scripts/test.sh (SEQREC_THREADS=2: thread-count invariance)"
 SEQREC_THREADS=2 bash scripts/test.sh
 
+# Tier-1 tests run the debug profile, but the benchmark and the bench bins
+# run release (thin LTO). The tensor crate carries the unsafe SIMD kernels
+# and the allocator-policy FFI call, so its suite — including the
+# resident-memory fault test — also runs optimised.
+echo "== seqrec-tensor tests (release profile)"
+cargo test --release --offline -p seqrec-tensor -q
+
 # The benchmark package is its own workspace, so the steps above never
 # build it — yet it drives the public fit API. Build, unit-test and smoke
 # it here so a signature change in crates/* cannot break it silently.
