@@ -32,9 +32,6 @@ pub struct ExpArgs {
     pub runs_dir: Option<String>,
     /// Anomaly policy threaded into every fit (warn or abort).
     pub on_anomaly: AnomalyPolicy,
-    /// Data-parallel shard count threaded into the fit loops (1 = the
-    /// classic serial step; see `TrainOptions::data_parallel`).
-    pub data_parallel: usize,
 }
 
 impl ExpArgs {
@@ -50,7 +47,6 @@ impl ExpArgs {
             verbosity: 0,
             runs_dir: Some("runs".into()),
             on_anomaly: AnomalyPolicy::Warn,
-            data_parallel: 1,
         }
     }
 
@@ -74,10 +70,6 @@ impl ExpArgs {
                         parse_or_die(&take("--pretrain-epochs"), "--pretrain-epochs");
                 }
                 "--seed" => args.seed = parse_or_die(&take("--seed"), "--seed"),
-                "--data-parallel" => {
-                    args.data_parallel =
-                        parse_or_die::<usize>(&take("--data-parallel"), "--data-parallel").max(1);
-                }
                 "--datasets" => {
                     args.datasets = take("--datasets")
                         .split(',')
@@ -105,7 +97,6 @@ impl ExpArgs {
                          \x20 --epochs <n>           training epochs (default 25, early stopping applies)\n\
                          \x20 --pretrain-epochs <n>  contrastive pre-training epochs (default 12)\n\
                          \x20 --seed <n>             RNG seed (default 42)\n\
-                         \x20 --data-parallel <n>    gradient shards per step (default 1 = serial step)\n\
                          \x20 --datasets <a,b,..>    subset of beauty,sports,toys,yelp\n\
                          \x20 --out <path>           write JSON results here\n\
                          \x20 --runs-dir <dir>       run-ledger root (default runs/)\n\

@@ -11,7 +11,7 @@
 //!    augmentations, not from extra gradient steps.
 //!
 //! ```text
-//! cargo run --release -p seqrec-bench --bin ablation [-- --datasets beauty]
+//! cargo run --release -p seqrec-experiments --bin ablation [-- --datasets beauty]
 //! ```
 
 use cl4srec::augment::{AugmentationSet, Identity, Mask};

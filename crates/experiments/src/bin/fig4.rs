@@ -5,7 +5,7 @@
 //! SASRec dashed-line baseline.
 //!
 //! ```text
-//! cargo run --release -p seqrec-bench --bin fig4 [-- --datasets beauty,yelp]
+//! cargo run --release -p seqrec-experiments --bin fig4 [-- --datasets beauty,yelp]
 //! ```
 
 use cl4srec::augment::{AugmentationSet, Crop, Mask, Reorder};

@@ -4,7 +4,7 @@
 //! the paper finds composition does **not** beat the best single operator.
 //!
 //! ```text
-//! cargo run --release -p seqrec-bench --bin fig5
+//! cargo run --release -p seqrec-experiments --bin fig5
 //! ```
 
 use cl4srec::augment::{AugmentationSet, Crop, Mask, Reorder};

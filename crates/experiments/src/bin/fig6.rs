@@ -5,7 +5,7 @@
 //! the gap should widen as data shrinks.
 //!
 //! ```text
-//! cargo run --release -p seqrec-bench --bin fig6
+//! cargo run --release -p seqrec-experiments --bin fig6
 //! ```
 
 use cl4srec::augment::{AugmentationSet, Mask};

@@ -2,7 +2,7 @@
 //! (5-core filter, chronological sequences).
 //!
 //! ```text
-//! cargo run --release -p seqrec-bench --bin table1 [-- --scale 0.04]
+//! cargo run --release -p seqrec-experiments --bin table1 [-- --scale 0.04]
 //! ```
 
 use seqrec_bench::args::ExpArgs;

@@ -3,7 +3,7 @@
 //! the paper's two improvement columns (CL4SRec vs SASRec, vs SASRec_BPR).
 //!
 //! ```text
-//! cargo run --release -p seqrec-bench --bin table2 [-- --scale 0.04 --datasets beauty]
+//! cargo run --release -p seqrec-experiments --bin table2 [-- --scale 0.04 --datasets beauty]
 //! ```
 
 use seqrec_bench::args::ExpArgs;

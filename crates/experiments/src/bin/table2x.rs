@@ -2,7 +2,7 @@
 //! FPMC, Caser and BERT4Rec to the arXiv version's seven methods.
 //!
 //! ```text
-//! cargo run --release -p seqrec-bench --bin table2x [-- --datasets beauty]
+//! cargo run --release -p seqrec-experiments --bin table2x [-- --datasets beauty]
 //! ```
 
 use seqrec_bench::args::ExpArgs;

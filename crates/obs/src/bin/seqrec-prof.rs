@@ -12,7 +12,7 @@
 //! (`epoch;batch;forward 1234` lines) for inferno-flamegraph or
 //! speedscope.
 //!
-//! A trace holding serve request events (`bench_serve` under
+//! A trace holding serve request events (a `BatchingServer` run under
 //! `SEQREC_OBS=jsonl=...`) additionally gets a per-stage request-latency
 //! profile (enqueue/batch/encode/score/topk/reply).
 //!

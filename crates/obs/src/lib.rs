@@ -48,7 +48,6 @@
 
 #![warn(missing_docs)]
 
-pub mod benchdiff;
 pub mod expo;
 pub mod json;
 pub mod ledger;
@@ -133,7 +132,7 @@ SEQREC_OBS is a comma-separated list of directives:
                   (open in chrome://tracing or https://ui.perfetto.dev)
   expo=PATH       dump a Prometheus-style text exposition of the metric
                   registry to PATH when the process finishes
-                  (the live TCP endpoint is serve-side: bench_serve --expo)
+                  (the live TCP endpoint is serve-side: ExpoServer::bind)
   window=SECS     rolling-window length for live windowed metrics
                   (p50/p95/p99 latency, queue depth, ...; default 10)
   detail          also emit per-kernel-call spans (large traces)

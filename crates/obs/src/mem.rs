@@ -3,18 +3,13 @@
 //! The accounting `Buf` newtype in `seqrec-tensor` reports every real
 //! buffer allocation and free here. When memory tracing is **off** (the
 //! default) the whole module costs one relaxed atomic load per allocation
-//! and nothing per free. When on, each traced allocation gets a monotonic
-//! buffer id and fans out to up to two consumers:
-//!
-//! * the installed **sink** (`SEQREC_OBS=mem=all` or `mem=N`): emits
-//!   [`crate::Event::MemAlloc`]/[`crate::Event::MemFree`] events carrying
-//!   the buffer id, size, the owning span path captured from the calling
-//!   thread's span stack, and the live-bytes level — the stream
-//!   `seqrec-prof --mem` folds into a peak breakdown and what-if report;
-//! * the in-process **interval recorder** ([`record_start`] /
-//!   [`record_stop`]): collects `(alloc, free, bytes)` intervals without
-//!   any sink, so `bench_train` can compute the what-if arena peak for
-//!   every method it times.
+//! and nothing per free. When on (`SEQREC_OBS=mem=all` or `mem=N`), each
+//! allocation gets a monotonic buffer id and traced buffers emit
+//! [`crate::Event::MemAlloc`]/[`crate::Event::MemFree`] events into the
+//! installed sink, carrying the buffer id, size, the owning span path
+//! captured from the calling thread's span stack, and the live-bytes
+//! level — the stream `seqrec-prof --mem` folds into a peak breakdown and
+//! what-if report ([`crate::memprof`]).
 //!
 //! Sampling keeps big runs tractable: `mem=N` emits only buffers whose id
 //! is divisible by `N`. Because the predicate depends on the id alone, a
@@ -22,72 +17,24 @@
 //! pair up at any sampling rate. Attribution sums only equal the observed
 //! peak at `mem=all`; sampled traces are estimates.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use crate::sink;
 use crate::span;
 
-/// One buffer lifetime captured by the interval recorder.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Interval {
-    /// Allocation timestamp (µs since the trace epoch).
-    pub start_us: u64,
-    /// Free timestamp; `None` when the buffer was still live when
-    /// recording stopped.
-    pub end_us: Option<u64>,
-    /// Buffer size in bytes.
-    pub bytes: u64,
-    /// Global event sequence number of the allocation (orders events that
-    /// share a microsecond).
-    pub alloc_seq: u64,
-    /// Global event sequence number of the free, when freed.
-    pub free_seq: Option<u64>,
-}
-
-/// True when any consumer (sink mode or recorder) wants events. The single
-/// relaxed load every `Buf` allocation pays.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Sink sampling modulus: 0 = sink emission off, `n >= 1` = emit buffers
-/// with `id % n == 0` (`mem=all` sets 1).
+/// Sink sampling modulus: 0 = tracing off, `n >= 1` = emit buffers with
+/// `id % n == 0` (`mem=all` sets 1). The single relaxed load every `Buf`
+/// allocation pays.
 static SINK_SAMPLE: AtomicU64 = AtomicU64::new(0);
-/// Recorder-on flag (duplicated out of the mutex for the fast path).
-static RECORDING: AtomicBool = AtomicBool::new(false);
 /// Monotonic buffer ids; 0 is reserved for "allocated while tracing was
 /// off" so frees of such buffers can be skipped without any bookkeeping.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-/// Monotonic event sequence numbers for the recorder.
-static NEXT_SEQ: AtomicU64 = AtomicU64::new(1);
-/// Live tensor bytes tracked by this module alone. Same level as the
-/// `tensor.live_bytes` gauge, but immune to [`crate::metrics::reset_all`],
-/// so [`LeakCheck`] deltas stay valid across mid-run metric resets (e.g.
-/// `bench_train` resetting per-method counters while a model is live).
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-
-struct RecState {
-    /// Buffers allocated but not yet freed: id → (start_us, alloc_seq, bytes).
-    live: HashMap<u64, (u64, u64, u64)>,
-    /// Completed lifetimes.
-    closed: Vec<Interval>,
-}
-
-static RECORDER: Mutex<Option<RecState>> = Mutex::new(None);
-
-fn recorder_slot() -> std::sync::MutexGuard<'static, Option<RecState>> {
-    RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn refresh_active() {
-    ACTIVE.store(SINK_SAMPLE.load(Relaxed) > 0 || RECORDING.load(Relaxed), Relaxed);
-}
 
 /// Enables (`Some(n)`, `n >= 1`) or disables (`None`) mem-event emission
 /// into the installed sink. Set by [`crate::init_with`] from the `mem=`
 /// directive and cleared when the [`crate::ObsGuard`] drops.
 pub fn set_sink_mode(sample: Option<u64>) {
     SINK_SAMPLE.store(sample.map_or(0, |n| n.max(1)), Relaxed);
-    refresh_active();
 }
 
 /// The active sink sampling modulus (0 = off).
@@ -95,40 +42,12 @@ pub fn sink_sample() -> u64 {
     SINK_SAMPLE.load(Relaxed)
 }
 
-/// Starts (or restarts) the in-process interval recorder. Buffers already
-/// live are not retroactively recorded; only allocations from this call
-/// on are.
-pub fn record_start() {
-    *recorder_slot() = Some(RecState { live: HashMap::new(), closed: Vec::new() });
-    RECORDING.store(true, Relaxed);
-    refresh_active();
-}
-
-/// Stops the recorder and returns every captured lifetime. Buffers still
-/// live get `end_us: None` — the leak set, which what-if planning treats
-/// as occupied to the end of the window.
-pub fn record_stop() -> Vec<Interval> {
-    RECORDING.store(false, Relaxed);
-    refresh_active();
-    let state = recorder_slot().take();
-    let Some(mut state) = state else {
-        return Vec::new();
-    };
-    let mut out = std::mem::take(&mut state.closed);
-    for (_, (start_us, alloc_seq, bytes)) in state.live.drain() {
-        out.push(Interval { start_us, end_us: None, bytes, alloc_seq, free_seq: None });
-    }
-    out.sort_by_key(|iv| iv.alloc_seq);
-    out
-}
-
 /// Reports one buffer allocation of `bytes` bytes. Returns the buffer id
 /// the caller must hand back to [`on_free`] when the buffer drops, or 0
 /// when tracing is off (the free of an id-0 buffer is a no-op).
 #[inline]
 pub fn on_alloc(bytes: usize) -> u64 {
-    LIVE_BYTES.fetch_add(bytes as i64, Relaxed);
-    if !ACTIVE.load(Relaxed) {
+    if SINK_SAMPLE.load(Relaxed) == 0 {
         return 0;
     }
     alloc_slow(bytes as u64)
@@ -137,15 +56,9 @@ pub fn on_alloc(bytes: usize) -> u64 {
 #[cold]
 fn alloc_slow(bytes: u64) -> u64 {
     let id = NEXT_ID.fetch_add(1, Relaxed);
-    let seq = NEXT_SEQ.fetch_add(1, Relaxed);
-    let ts_us = sink::now_us();
-    if RECORDING.load(Relaxed) {
-        if let Some(state) = recorder_slot().as_mut() {
-            state.live.insert(id, (ts_us, seq, bytes));
-        }
-    }
     let n = SINK_SAMPLE.load(Relaxed);
     if n > 0 && id.is_multiple_of(n) && sink::enabled() {
+        let ts_us = sink::now_us();
         crate::metrics::MEM_TRACED_ALLOCS.incr();
         let path = span::current_path();
         sink::dispatch(&crate::Event::MemAlloc {
@@ -164,7 +77,6 @@ fn alloc_slow(bytes: u64) -> u64 {
 /// Id 0 (allocated while tracing was off) is ignored.
 #[inline]
 pub fn on_free(id: u64, bytes: usize) {
-    LIVE_BYTES.fetch_sub(bytes as i64, Relaxed);
     if id == 0 {
         return;
     }
@@ -173,21 +85,6 @@ pub fn on_free(id: u64, bytes: usize) {
 
 #[cold]
 fn free_slow(id: u64, bytes: u64) {
-    let ts_us = sink::now_us();
-    if RECORDING.load(Relaxed) {
-        let seq = NEXT_SEQ.fetch_add(1, Relaxed);
-        if let Some(state) = recorder_slot().as_mut() {
-            if let Some((start_us, alloc_seq, b)) = state.live.remove(&id) {
-                state.closed.push(Interval {
-                    start_us,
-                    end_us: Some(ts_us),
-                    bytes: b,
-                    alloc_seq,
-                    free_seq: Some(seq),
-                });
-            }
-        }
-    }
     let n = SINK_SAMPLE.load(Relaxed);
     if n > 0 && id.is_multiple_of(n) && sink::enabled() {
         crate::metrics::MEM_TRACED_FREES.incr();
@@ -196,32 +93,8 @@ fn free_slow(id: u64, bytes: u64) {
             bytes,
             live_bytes: crate::metrics::TENSOR_LIVE_BYTES.get(),
             tid: sink::tid(),
-            ts_us,
+            ts_us: sink::now_us(),
         });
-    }
-}
-
-/// End-of-scope leak sentinel over the module's own live-bytes level
-/// (not the resettable `tensor.live_bytes` gauge): captures the level at
-/// construction; [`LeakCheck::leaked_bytes`] reports how far the level
-/// now sits above it. Wrap a model's whole lifetime (construction,
-/// training, drop) — anything still live afterwards escaped its owner.
-/// Mid-run `metrics::reset_all()` calls do not disturb the delta.
-pub struct LeakCheck {
-    start_level: i64,
-}
-
-impl LeakCheck {
-    /// Captures the current live-bytes level.
-    #[must_use]
-    pub fn start() -> LeakCheck {
-        LeakCheck { start_level: LIVE_BYTES.load(Relaxed) }
-    }
-
-    /// Bytes live now in excess of the level at [`LeakCheck::start`]
-    /// (0 when the level fell or held).
-    pub fn leaked_bytes(&self) -> u64 {
-        (LIVE_BYTES.load(Relaxed) - self.start_level).max(0) as u64
     }
 }
 
@@ -229,73 +102,10 @@ impl LeakCheck {
 mod tests {
     use super::*;
 
-    // The sink/recorder/live-level state is process-global, so every test
-    // in this module serialises on one lock and leaves the state balanced
-    // (sink off, recorder off, allocs matched by frees) before returning.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn off_mode_assigns_id_zero_and_free_is_a_noop() {
-        let _g = serial();
         set_sink_mode(None);
         assert_eq!(on_alloc(1024), 0);
         on_free(0, 1024); // must not panic or touch anything
-    }
-
-    #[test]
-    fn recorder_captures_lifetimes_and_leaks() {
-        let _g = serial();
-        record_start();
-        let a = on_alloc(100);
-        let b = on_alloc(200);
-        assert!(a > 0 && b > a);
-        on_free(a, 100);
-        let intervals = record_stop();
-        assert_eq!(intervals.len(), 2);
-        let freed = intervals.iter().find(|iv| iv.bytes == 100).expect("freed interval");
-        assert!(freed.end_us.is_some() && freed.free_seq.is_some());
-        let leaked = intervals.iter().find(|iv| iv.bytes == 200).expect("live interval");
-        assert!(leaked.end_us.is_none() && leaked.free_seq.is_none());
-        // Frees after recording stopped are ignored, not mis-counted.
-        on_free(b, 200);
-        assert!(record_stop().is_empty());
-    }
-
-    #[test]
-    fn intervals_come_back_in_allocation_order() {
-        let _g = serial();
-        record_start();
-        let ids: Vec<u64> = (0..5).map(|i| on_alloc(8 * (i + 1))).collect();
-        for &id in ids.iter().rev() {
-            on_free(id, 0); // bytes argument unused by the recorder path
-        }
-        let intervals = record_stop();
-        let seqs: Vec<u64> = intervals.iter().map(|iv| iv.alloc_seq).collect();
-        let mut sorted = seqs.clone();
-        sorted.sort_unstable();
-        assert_eq!(seqs, sorted);
-        assert!(intervals.iter().all(|iv| iv.free_seq.unwrap() > iv.alloc_seq));
-    }
-
-    #[test]
-    fn leak_check_measures_level_growth_and_survives_metric_resets() {
-        let _g = serial();
-        let check = LeakCheck::start();
-        let id = on_alloc(4096);
-        assert_eq!(check.leaked_bytes(), 4096);
-        // A mid-run metric reset (as bench_train does between methods) must
-        // not disturb the delta — the leak level is not the gauge.
-        crate::metrics::reset_all();
-        assert_eq!(check.leaked_bytes(), 4096);
-        on_free(id, 4096);
-        assert_eq!(check.leaked_bytes(), 0);
-        // Level below the start: clamped, not negative.
-        on_free(0, 1024);
-        assert_eq!(check.leaked_bytes(), 0);
-        on_alloc(1024);
     }
 }

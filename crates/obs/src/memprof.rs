@@ -17,8 +17,23 @@
 //! a matching alloc, or a duplicate buffer id, is an error, not a skip.
 
 use crate::json::{self, Value};
-use crate::mem::Interval;
 use crate::profile::req_u64;
+
+/// One buffer lifetime: the what-if planner's input, built from a trace by
+/// [`MemProfile::build`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Interval {
+    /// Allocation timestamp (µs since the trace epoch).
+    pub start_us: u64,
+    /// Free timestamp; `None` when the buffer was still live at the end of
+    /// the trace.
+    pub end_us: Option<u64>,
+    /// Buffer size in bytes.
+    pub bytes: u64,
+    /// Position of the allocation in the event stream (orders events that
+    /// share a microsecond).
+    pub alloc_seq: u64,
+}
 
 /// One buffer alloc/free boundary extracted from a trace file.
 #[derive(Clone, Debug, PartialEq)]
@@ -157,37 +172,6 @@ pub fn parse_mem_auto(text: &str) -> Result<Vec<MemEvent>, String> {
 /// The slack windows (µs) swept by the what-if report: how much earlier
 /// each free would have to retire to reach the corresponding peak.
 pub const WHATIF_SLACKS_US: &[u64] = &[0, 10, 100, 1_000, 10_000];
-
-/// The slack `bench_train` reports in its `whatif_peak_mib` column: 10ms,
-/// the top of the sweep — batch-scale reuse, i.e. a planner that retires
-/// every buffer at its last use within the surrounding training step
-/// rather than at its Rust drop point. At slack 0 the fungible bound
-/// equals the observed peak almost exactly (malloc already reuses freed
-/// memory), so the bench column would duplicate `peak_mib`.
-pub const BENCH_WHATIF_SLACK_US: u64 = 10_000;
-
-/// The observed peak (bytes) of a recorded interval set, replayed in
-/// event order over exactly the buffers the recorder saw. This is the
-/// `peak_mib` consistent with [`whatif_peak_bytes`] on the same
-/// intervals (the live-bytes gauge instead mixes in frees of buffers
-/// allocated before recording started, and can sit below this).
-pub fn observed_peak_from_intervals(intervals: &[Interval]) -> u64 {
-    let mut deltas: Vec<(u64, i64)> = Vec::with_capacity(intervals.len() * 2);
-    for iv in intervals {
-        deltas.push((iv.alloc_seq, iv.bytes as i64));
-        if let Some(free_seq) = iv.free_seq {
-            deltas.push((free_seq, -(iv.bytes as i64)));
-        }
-    }
-    deltas.sort_unstable_by_key(|&(seq, _)| seq);
-    let mut live: i64 = 0;
-    let mut peak: i64 = 0;
-    for (_, d) in deltas {
-        live += d;
-        peak = peak.max(live);
-    }
-    peak.max(0) as u64
-}
 
 /// One planning event in what-if order: allocations in program order,
 /// frees retired as early as validity allows.
@@ -361,7 +345,6 @@ impl MemProfile {
                     end_us: None,
                     bytes: ev.bytes,
                     alloc_seq: i as u64,
-                    free_seq: None,
                 });
                 allocs += 1;
                 running += ev.bytes;
@@ -382,7 +365,6 @@ impl MemProfile {
                     ));
                 }
                 intervals[iv].end_us = Some(ev.ts_us);
-                intervals[iv].free_seq = Some(i as u64);
                 frees += 1;
                 running = running.saturating_sub(bytes);
             }
@@ -544,38 +526,7 @@ mod tests {
     use super::*;
 
     fn iv(start: u64, end: Option<u64>, bytes: u64, seq: u64) -> Interval {
-        Interval {
-            start_us: start,
-            end_us: end,
-            bytes,
-            alloc_seq: seq,
-            free_seq: end.map(|_| seq + 100),
-        }
-    }
-
-    #[test]
-    fn observed_peak_replays_intervals_in_event_order() {
-        // Two 100-byte buffers whose lifetimes overlap only through seq
-        // ordering: a allocs (seq 1), b allocs (seq 2), a frees (seq 101),
-        // b frees (seq 102) → both live together, peak 200.
-        let overlapping = [iv(0, Some(10), 100, 1), iv(5, Some(20), 100, 2)];
-        assert_eq!(observed_peak_from_intervals(&overlapping), 200);
-        // Sequential lifetimes: a frees (seq 101) before b allocs (seq 150).
-        let sequential = [
-            iv(0, Some(10), 100, 1),
-            Interval {
-                start_us: 15,
-                end_us: Some(20),
-                bytes: 100,
-                alloc_seq: 150,
-                free_seq: Some(151),
-            },
-        ];
-        assert_eq!(observed_peak_from_intervals(&sequential), 100);
-        // An unfreed buffer holds its bytes forever.
-        let leaked = [iv(0, None, 64, 1), iv(1, Some(2), 100, 2)];
-        assert_eq!(observed_peak_from_intervals(&leaked), 164);
-        assert_eq!(observed_peak_from_intervals(&[]), 0);
+        Interval { start_us: start, end_us: end, bytes, alloc_seq: seq }
     }
 
     fn alloc(id: u64, bytes: u64, ts: u64, path: &str) -> MemEvent {

@@ -12,10 +12,7 @@
 //!   is never below the fungible what-if bound (the gap is fragmentation).
 
 use proptest::prelude::*;
-use seqrec_obs::mem::Interval;
-use seqrec_obs::memprof::{
-    observed_peak_from_intervals, simulate_arena, whatif_peak_bytes, WHATIF_SLACKS_US,
-};
+use seqrec_obs::memprof::{simulate_arena, whatif_peak_bytes, Interval, WHATIF_SLACKS_US};
 
 /// One step of a random allocation program: `kind < 2` allocates `bytes`
 /// (so allocs and frees are roughly balanced), otherwise the step frees a
@@ -23,7 +20,7 @@ use seqrec_obs::memprof::{
 /// keeping events inside the same microsecond to exercise tie-breaking.
 type Action = (u8, u64, u64);
 
-/// Replays a random program into recorder-shaped intervals plus the peak
+/// Replays a random program into buffer-lifetime intervals plus the peak
 /// the schedule actually reaches (computed independently of the planner).
 fn schedule(actions: &[Action]) -> (Vec<Interval>, u64) {
     let mut ts = 0u64;
@@ -34,20 +31,13 @@ fn schedule(actions: &[Action]) -> (Vec<Interval>, u64) {
     for (seq, &(kind, bytes, dt)) in (1u64..).zip(actions.iter()) {
         ts += dt;
         if kind < 2 || live.is_empty() {
-            intervals.push(Interval {
-                start_us: ts,
-                end_us: None,
-                bytes,
-                alloc_seq: seq,
-                free_seq: None,
-            });
+            intervals.push(Interval { start_us: ts, end_us: None, bytes, alloc_seq: seq });
             live.push(intervals.len() - 1);
             level += bytes;
             peak = peak.max(level);
         } else {
             let idx = live.swap_remove(bytes as usize % live.len());
             intervals[idx].end_us = Some(ts);
-            intervals[idx].free_seq = Some(seq);
             level -= intervals[idx].bytes;
         }
     }
@@ -64,9 +54,7 @@ proptest! {
     #[test]
     fn whatif_never_exceeds_the_observed_peak(acts in actions()) {
         let (intervals, observed) = schedule(&acts);
-        // The interval replay reproduces the tracked peak exactly...
-        prop_assert_eq!(observed_peak_from_intervals(&intervals), observed);
-        // ...and the slack-0 plan never exceeds it.
+        // The slack-0 plan never exceeds the tracked peak.
         prop_assert!(
             whatif_peak_bytes(&intervals, 0) <= observed,
             "whatif {} > observed {observed}",

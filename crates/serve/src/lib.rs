@@ -26,7 +26,7 @@
 //!   registry (rolling-window latency/queue/occupancy quantiles) in the
 //!   Prometheus text format;
 //! * [`SloPolicy`] / [`slo::evaluate`] — latency/error objectives scored
-//!   against the rolling windows, gated by `bench_diff --specs serve`.
+//!   against the rolling windows.
 //!
 //! Observability: every request is traced through its lifecycle stages
 //! (enqueue → batch → encode → score → topk → reply) onto the installed

@@ -6,9 +6,7 @@
 //! reads the live rolling windows ([`seqrec_obs::metrics`]); the **burn
 //! rate** is the observed breach fraction divided by the budget, so 1.0
 //! means the budget is exactly spent and anything above it means the SLO
-//! is burning. `bench_serve` records the verdict per method in
-//! `BENCH_serve.json` (`slo_ok`, numeric so `bench_diff --specs serve`
-//! can gate on it) and in the run ledger's `report.json`.
+//! is burning.
 //!
 //! Latency breaches are counted at histogram-bucket resolution: a request
 //! breaches when it lands in a bucket whose bound exceeds the target, so a

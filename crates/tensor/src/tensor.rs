@@ -19,9 +19,8 @@ use crate::shape::Shape;
 /// mark) in sync with the bytes actually allocated. `Arc` sharing — tensor
 /// clones, reshapes — allocates nothing and is therefore not counted; only
 /// real buffers are. Construction and drop additionally report to the
-/// `seqrec_obs::mem` lifetime tracer (`SEQREC_OBS=mem=...` or the
-/// in-process interval recorder), which attributes every buffer to the
-/// span path that allocated it.
+/// `seqrec_obs::mem` lifetime tracer (`SEQREC_OBS=mem=...`), which
+/// attributes every buffer to the span path that allocated it.
 ///
 /// **Allocator policy.** The first `Buf` pins two glibc malloc thresholds
 /// for the whole process: `M_MMAP_THRESHOLD` to its 64-bit maximum of

@@ -1,7 +1,7 @@
 //! The paper's RQ4 scenario in miniature: how do SASRec and CL4SRec degrade
 //! when training data shrinks? Trains both models on 30% and 100% of the
 //! training users and compares (the full sweep is
-//! `cargo run -p seqrec-bench --bin fig6`).
+//! `cargo run --release -p seqrec-experiments --bin fig6`).
 //!
 //! ```text
 //! cargo run --release --example data_sparsity

@@ -39,13 +39,19 @@ cargo test --offline --manifest-path benchmark/Cargo.toml -q
 echo "== benchmark smoke (every workload, tiny, checked)"
 bash benchmark/run.sh --smoke
 
+# The instrumented smoke runs `table2x`, the experiment binary that trains
+# every fit loop (the seven next-item baselines, SASRec_BPR's two stages,
+# CL4SRec pre-training and fine-tuning) and evaluates each method, with the
+# JSONL sink, the full allocation trace and the exposition dump switched on.
 SMOKE_RUNS="target/ci_smoke_runs"
 for SMOKE_THREADS in 1 2; do
-echo "== instrumented smoke train at SEQREC_THREADS=$SMOKE_THREADS (JSONL sink + mem trace + run ledger)"
+echo "== instrumented smoke run of table2x at SEQREC_THREADS=$SMOKE_THREADS (JSONL sink + mem trace + exposition dump + run ledger)"
 SMOKE_JSONL="target/ci_smoke_obs_t${SMOKE_THREADS}.jsonl"
-rm -rf "$SMOKE_JSONL" "$SMOKE_RUNS"
-SEQREC_THREADS="$SMOKE_THREADS" SEQREC_OBS="console=silent,jsonl=$SMOKE_JSONL,mem=all" \
-    cargo run --offline --release -p seqrec-experiments --bin bench_train -- \
+SMOKE_EXPO="target/ci_smoke_expo_t${SMOKE_THREADS}.prom"
+rm -rf "$SMOKE_JSONL" "$SMOKE_EXPO" "$SMOKE_RUNS"
+SEQREC_THREADS="$SMOKE_THREADS" \
+SEQREC_OBS="console=silent,jsonl=$SMOKE_JSONL,mem=all,expo=$SMOKE_EXPO" \
+    cargo run --offline --release -p seqrec-experiments --bin table2x -- \
     --scale 0.005 --epochs 2 --pretrain-epochs 1 --datasets beauty \
     --runs-dir "$SMOKE_RUNS" >/dev/null
 python3 - "$SMOKE_JSONL" <<'PY'
@@ -87,12 +93,36 @@ unclosed = {k: c for k, c in open_spans.items() if c}
 assert not unclosed, f"unclosed spans: {unclosed}"
 assert events > 100, f"suspiciously few telemetry events: {events}"
 assert mem_allocs > 100, f"suspiciously few mem events under mem=all: {mem_allocs}"
-# The leak sentinel's trace-level twin: every traced buffer freed by exit.
+# No leaks: every traced buffer is freed by exit.
 assert not live_bufs, f"{len(live_bufs)} buffers never freed: {sorted(live_bufs)[:5]}..."
 print(
-    f"smoke train OK: {events} well-formed JSONL events, "
+    f"smoke run OK: {events} well-formed JSONL events, "
     f"{mem_allocs} allocs / {mem_frees} frees, all paired"
 )
+PY
+
+# SEQREC_OBS=expo=PATH makes the ObsGuard write the final Prometheus-text
+# rendering of the metric registry when the binary exits.
+python3 - "$SMOKE_EXPO" <<'PY'
+import sys
+
+samples = {}
+with open(sys.argv[1]) as f:
+    for line in f:
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        name, value = line.rsplit(" ", 1)
+        samples[name] = float(value)  # raises on a malformed sample line
+inf_buckets = {k[: -len('_bucket{le="+Inf"}')]: v for k, v in samples.items()
+               if k.endswith('_bucket{le="+Inf"}')}
+assert inf_buckets, "no histogram in the exposition dump"
+for hist, total in inf_buckets.items():
+    count = samples.get(f"{hist}_count")
+    assert count == total, f"{hist}: +Inf bucket {total} but _count {count}"
+assert samples.get("seqrec_train_batches", 0) > 0, "seqrec_train_batches missing or zero"
+assert "seqrec_obs_window_us" in samples, "window-length gauge missing"
+print(f"exposition dump OK: {len(samples)} samples, {len(inf_buckets)} histograms consistent")
 PY
 
 echo "== seqrec-prof --mem on the smoke trace (peak attribution + what-if report)"
@@ -103,24 +133,31 @@ echo "$PROF_OUT" | head -3
 done
 
 echo "== run-ledger validation"
-python3 - "$SMOKE_RUNS/bench_train-42" <<'PY'
+python3 - "$SMOKE_RUNS/table2x-42" <<'PY'
 import json
+import math
 import os
 import sys
 
 # The smoke run must leave a complete, parseable ledger behind: config with
-# the full argument set, an environment snapshot, and the final report.
+# the full argument set, an environment snapshot, the final report, and one
+# complete sub-ledger per fit.
 root = sys.argv[1]
 assert os.path.isdir(root), f"missing ledger directory {root}"
 
-with open(os.path.join(root, "config.json")) as f:
-    config = json.load(f)
-assert config["binary"] == "bench_train", config
-for key in ("scale", "epochs", "pretrain_epochs", "seed", "on_anomaly"):
-    assert key in config["args"], f"config.json args missing {key!r}"
+def load(*path):
+    with open(os.path.join(root, *path)) as f:
+        return json.load(f)
 
-with open(os.path.join(root, "env.json")) as f:
-    env = json.load(f)
+config = load("config.json")
+assert config["binary"] == "table2x", config
+args = config["args"]
+for key in ("scale", "epochs", "pretrain_epochs", "seed", "datasets", "on_anomaly"):
+    assert key in args, f"config.json args missing {key!r}"
+assert (args["scale"], args["epochs"], args["pretrain_epochs"]) == (0.005, 2, 1), args
+assert args["datasets"] == ["beauty"], args
+
+env = load("env.json")
 for key in ("os", "arch", "package_version", "unix_time_secs"):
     assert key in env, f"env.json missing {key!r}"
 # The surviving ledger is from the SEQREC_THREADS=2 smoke pass: the env
@@ -128,93 +165,26 @@ for key in ("os", "arch", "package_version", "unix_time_secs"):
 assert env.get("threads_used") == 2, f"env.json threads_used: {env}"
 assert env.get("threads_source") == "SEQREC_THREADS", f"env.json threads_source: {env}"
 
-with open(os.path.join(root, "report.json")) as f:
-    report = json.load(f)
-assert report["rows"], "report.json has no benchmark rows"
-assert report.get("threads") == 2, f"report.json threads: {report.get('threads')!r}"
-for key in ("secs_per_epoch", "seqs_per_sec", "gemm_gflops_per_sec", "peak_mib"):
-    assert key in report["rows"][0], f"report row missing {key!r}"
-# Memory columns: the what-if floor never exceeds the observed peak (both
-# come from the same recorder replay), and the leak sentinel stayed quiet.
-for r in report["rows"]:
-    m = r["method"]
-    assert r["peak_mib"] > 0, f"{m}: non-positive peak_mib"
-    assert 0 < r["whatif_peak_mib"] <= r["peak_mib"], (
-        f"{m}: whatif_peak_mib {r['whatif_peak_mib']} vs peak_mib {r['peak_mib']}"
-    )
-    assert r["leaked_mib"] < 0.0625, f"{m}: leak sentinel tripped ({r['leaked_mib']} MiB)"
-print(f"run ledger OK: {root} (config, env, report with {len(report['rows'])} rows)")
+report = load("report.json")
+assert len(report) == 1 and report[0]["dataset"] == "beauty", report
+methods = [name for name, _ in report[0]["methods"]]
+expected = ["Pop", "BPR-MF", "FPMC", "NCF", "GRU4Rec", "Caser", "BERT4Rec",
+            "SASRec", "SASRec_BPR", "CL4SRec"]
+assert methods == expected, f"report.json methods: {methods}"
+for name, m in report[0]["methods"]:
+    for v in m["hr"] + m["ndcg"]:
+        assert 0.0 <= v <= 1.0, f"{name}: metric {v} outside [0, 1]"
+
+fits = sorted(os.listdir(os.path.join(root, "fits")))
+assert len(fits) == 11, f"expected 11 fit ledgers, got {fits}"
+for fit in fits:
+    r = load("fits", fit, "report.json")
+    assert r["anomalous_steps"] == 0, f"{fit}: {r['anomalous_steps']} anomalous steps"
+    assert r["epochs"], f"{fit}: no epochs"
+    for e in r["epochs"]:
+        assert math.isfinite(e["loss"]), f"{fit}: non-finite loss {e['loss']}"
+    assert r["peak_tensor_mib"] > 0, f"{fit}: non-positive peak_tensor_mib"
+print(f"run ledger OK: {root} (config, env, report with {len(methods)} methods, {len(fits)} fits)")
 PY
-
-echo "== serve smoke (train -> checkpoint -> load -> score -> scrape -> report shape)"
-SERVE_SMOKE="target/ci_serve_smoke.json"
-SERVE_RUNS="target/ci_serve_runs"
-SERVE_EXPO="target/ci_serve_expo.prom"
-rm -rf "$SERVE_SMOKE" "$SERVE_RUNS" "$SERVE_EXPO"
-# --expo makes the bench serve the live exposition endpoint and scrape it
-# over real TCP halfway through the request stream; the scrape is parsed
-# and validated in-process (crates/obs/src/expo.rs, the same hand-rolled
-# parser the tests use) and any malformed or stale snapshot aborts the
-# run. SEQREC_OBS=expo additionally dumps the final rendering to a file.
-SEQREC_OBS="console=silent,expo=$SERVE_EXPO" \
-    cargo run --offline --release -p seqrec-serve --bin bench_serve -- \
-    --scale 0.005 --epochs 1 --requests 500 --qps 4000 \
-    --expo 127.0.0.1:0 --runs-dir "$SERVE_RUNS" \
-    --out "$SERVE_SMOKE" >/dev/null
-python3 - "$SERVE_SMOKE" "$SERVE_RUNS/bench_serve-42" "$SERVE_EXPO" <<'PY'
-import json
-import os
-import sys
-
-# The smoke run trains a small SASRec for one epoch, saves it through the
-# versioned checkpoint format, loads it back behind AnyModel, and serves a
-# paced workload — so a green run certifies the whole serving path. The
-# report must have the exact shape `bench_diff --specs serve` gates.
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-assert isinstance(report.get("threads"), int), report.get("threads")
-assert report.get("epochs") == 1, "smoke must serve a trained checkpoint"
-rows = report["rows"]
-assert {r["method"] for r in rows} == {"SASRec", "Pop"}, rows
-for r in rows:
-    assert r["dataset"] == "beauty", r
-    assert r["requests"] == 500, r
-    for key in ("p50_us", "p99_us", "mean_us", "items_per_sec"):
-        assert r[key] > 0, f"{r['method']}: non-positive {key}"
-    assert r["p50_us"] <= r["p99_us"], f"{r['method']}: p50 above p99"
-    assert 0.0 <= r["cache_hit_rate"] <= 1.0, r["cache_hit_rate"]
-    assert 0 < r["batches"] <= r["requests"], r["batches"]
-    for key in ("queue_depth_p50", "queue_depth_p99", "batch_occupancy_mean_pct"):
-        assert key in r, f"{r['method']}: missing {key!r}"
-    assert r["slo_ok"] in (0.0, 1.0), f"{r['method']}: slo_ok {r['slo_ok']!r}"
-    assert r["slo_target_us"] > 0 and r["slo_burn_rate"] >= 0, r
-
-# The serve run ledger must record the SLO verdict per method.
-ledger = sys.argv[2]
-with open(os.path.join(ledger, "config.json")) as f:
-    config = json.load(f)
-assert config["bin"] == "bench_serve" and "slo_target_us" in config, config
-with open(os.path.join(ledger, "report.json")) as f:
-    ledger_report = json.load(f)
-verdicts = {r["method"]: r["slo_ok"] for r in ledger_report["rows"]}
-assert set(verdicts) == {"SASRec", "Pop"}, verdicts
-assert os.path.exists(os.path.join(ledger, "env.json")), "env snapshot missing"
-
-# The offline exposition dump is well-formed Prometheus text: cumulative
-# buckets ending in +Inf, a _count per histogram, and the serve series.
-with open(sys.argv[3]) as f:
-    expo = f.read()
-assert "seqrec_serve_requests 500\n" in expo, "cumulative request counter missing"
-assert 'seqrec_serve_latency_us_bucket{le="+Inf"}' in expo, "+Inf bucket missing"
-assert "seqrec_serve_latency_us_count" in expo, "_count series missing"
-assert "seqrec_obs_window_us" in expo, "window-length gauge missing"
-print(
-    f"serve smoke OK: {len(rows)} rows, SLO verdicts {verdicts}, "
-    f"mid-serve scrape validated, exposition dump well-formed"
-)
-PY
-
-echo "== bench regression gate (smoke tolerances)"
-bash scripts/bench_gate.sh --smoke
 
 echo "CI gate green."
