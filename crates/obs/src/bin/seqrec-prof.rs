@@ -22,13 +22,16 @@
 //! theoretical minimum peak under perfect reuse — the memory planner's
 //! target).
 //!
-//! Malformed trace lines are hard errors with a line-numbered diagnostic
-//! and a nonzero exit, never silent skips.
+//! The trace is read once by `seqrec_obs::trace::read`, which validates
+//! every event for every report: a malformed event is a hard error naming
+//! its line (JSONL) or index (Chrome) and a nonzero exit, never a silent
+//! skip.
 
 use std::process::ExitCode;
 
-use seqrec_obs::memprof::{parse_mem_auto, MemProfile};
-use seqrec_obs::profile::{parse_auto, parse_requests_auto, Profile, RequestProfile};
+use seqrec_obs::memprof::MemProfile;
+use seqrec_obs::profile::{Profile, RequestProfile};
+use seqrec_obs::trace::{self, Trace};
 
 const USAGE: &str = "\
 usage: seqrec-prof TRACE [--top N] [--folded PATH] [--mem]
@@ -73,14 +76,47 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(Args { trace: trace.ok_or("missing TRACE argument")?, top, folded, mem })
 }
 
-fn run_mem(trace: &str, text: &str, top: usize) -> Result<(), String> {
-    let events = parse_mem_auto(text)?;
-    if events.is_empty() {
-        return Err("no mem events in trace (was the run missing SEQREC_OBS=mem=...?)".to_string());
+fn run_mem(trace: &Trace, args: &Args) -> Result<(), String> {
+    let path = &args.trace;
+    if trace.mem.is_empty() {
+        return Err(format!(
+            "{path}: no mem events in trace (was the run missing SEQREC_OBS=mem=...?)"
+        ));
     }
-    let profile = MemProfile::build(&events)?;
-    println!("trace: {trace} ({} mem events)\n", events.len());
-    print!("{}", profile.render(top));
+    let profile = MemProfile::build(&trace.mem).map_err(|e| format!("{path}: {e}"))?;
+    println!("trace: {path} ({} mem events)\n", trace.mem.len());
+    print!("{}", profile.render(args.top));
+    Ok(())
+}
+
+fn run_spans(trace: &Trace, args: &Args) -> Result<(), String> {
+    let path = &args.trace;
+    let profile = Profile::build(&trace.spans).map_err(|e| format!("{path}: {e}"))?;
+    let total = profile.total_us();
+    println!(
+        "trace: {path} ({} span events, {:.3} ms wall clock in top-level spans)\n",
+        trace.spans.len(),
+        total as f64 / 1e3
+    );
+    println!("== span hierarchy ==");
+    print!("{}", profile.render_tree());
+
+    println!("\n== top {} call paths by exclusive time ==", args.top);
+    println!("{:>12} {:>12} {:>8}  path", "excl(ms)", "incl(ms)", "calls");
+    for (stack, excl, incl, count) in profile.top_exclusive(args.top) {
+        println!("{:>12.3} {:>12.3} {:>8}  {stack}", excl as f64 / 1e3, incl as f64 / 1e3, count);
+    }
+
+    if !trace.requests.is_empty() {
+        println!("\n== serve request stages ==");
+        print!("{}", RequestProfile::build(&trace.requests).render());
+    }
+
+    if let Some(out) = &args.folded {
+        std::fs::write(out, profile.folded_stacks())
+            .map_err(|e| format!("cannot write {out}: {e}"))?;
+        println!("\nfolded stacks written to {out} (inferno-flamegraph / speedscope)");
+    }
     Ok(())
 }
 
@@ -97,74 +133,16 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    let text = match std::fs::read_to_string(&args.trace) {
-        Ok(t) => t,
+    let path = &args.trace;
+    let result = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| trace::read(&text).map_err(|e| format!("{path}: {e}")))
+        .and_then(|trace| if args.mem { run_mem(&trace, &args) } else { run_spans(&trace, &args) });
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("seqrec-prof: cannot read {}: {e}", args.trace);
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if args.mem {
-        return match run_mem(&args.trace, &text, args.top) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("seqrec-prof: {}: {e}", args.trace);
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let events = match parse_auto(&text) {
-        Ok(ev) => ev,
-        Err(e) => {
-            eprintln!("seqrec-prof: {}: {e}", args.trace);
-            return ExitCode::FAILURE;
-        }
-    };
-    let profile = match Profile::build(&events) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("seqrec-prof: {}: {e}", args.trace);
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let total = profile.total_us();
-    println!(
-        "trace: {} ({} span events, {:.3} ms wall clock in top-level spans)\n",
-        args.trace,
-        events.len(),
-        total as f64 / 1e3
-    );
-    println!("== span hierarchy ==");
-    print!("{}", profile.render_tree());
-
-    println!("\n== top {} call paths by exclusive time ==", args.top);
-    println!("{:>12} {:>12} {:>8}  path", "excl(ms)", "incl(ms)", "calls");
-    for (path, excl, incl, count) in profile.top_exclusive(args.top) {
-        println!("{:>12.3} {:>12.3} {:>8}  {}", excl as f64 / 1e3, incl as f64 / 1e3, count, path);
-    }
-
-    match parse_requests_auto(&text) {
-        Ok(reqs) if !reqs.is_empty() => {
-            println!("\n== serve request stages ==");
-            print!("{}", RequestProfile::build(&reqs).render());
-        }
-        Ok(_) => {}
-        Err(e) => {
-            eprintln!("seqrec-prof: {}: {e}", args.trace);
-            return ExitCode::FAILURE;
+            eprintln!("seqrec-prof: {e}");
+            ExitCode::FAILURE
         }
     }
-
-    if let Some(path) = &args.folded {
-        if let Err(e) = std::fs::write(path, profile.folded_stacks()) {
-            eprintln!("seqrec-prof: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("\nfolded stacks written to {path} (inferno-flamegraph / speedscope)");
-    }
-    ExitCode::SUCCESS
 }

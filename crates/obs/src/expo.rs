@@ -3,9 +3,9 @@
 //! [`render`] turns a [`crate::metrics::snapshot`] into the classic
 //! text-based exposition format (`# TYPE` comments, cumulative
 //! `_bucket{le="..."}` series, `_sum`/`_count`), and [`parse`] reads it
-//! back — the shim `serde_json` is serialize-only, so round-trip tests and
-//! the CI scrape validator need a hand-rolled parser, the same pattern as
-//! [`crate::json`].
+//! back for the round-trip and live-scrape tests — the shim `serde_json`
+//! is serialize-only, so the parser is hand-rolled like [`crate::json`].
+//! CI checks the `SEQREC_OBS=expo=` dump of its smoke run in Python.
 //!
 //! Naming: registry names are dotted (`serve.latency_us`); exposition
 //! names replace `.` with `_` and gain a `seqrec_` prefix
@@ -354,6 +354,20 @@ mod tests {
         exp.validate_histograms().unwrap();
         assert!(exp.value("seqrec_serve_requests").is_some());
         assert!(exp.type_of("seqrec_serve_latency_us").is_some());
+        // Every series the Grafana dashboard names is a sample or a `# TYPE`
+        // family of the registry, so no panel queries a series that is gone.
+        let dashboard = include_str!("../../../scripts/obs/grafana-dashboard.json");
+        let mut names = 0;
+        for (at, _) in dashboard.match_indices("seqrec_") {
+            let name: String = dashboard[at..]
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect();
+            let known = exp.samples.iter().any(|s| s.name == name) || exp.type_of(&name).is_some();
+            assert!(known, "the Grafana dashboard names `{name}`, which the registry lacks");
+            names += 1;
+        }
+        assert!(names > 0, "no seqrec_ series in the dashboard");
     }
 
     #[test]

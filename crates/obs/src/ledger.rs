@@ -51,18 +51,6 @@ impl RunLedger {
         Ok(RunLedger { dir })
     }
 
-    /// Convenience constructor for the `root/<name>-<seed>` convention.
-    ///
-    /// # Errors
-    /// Propagates directory-creation failures.
-    pub fn create_named(
-        root: impl AsRef<Path>,
-        name: &str,
-        seed: u64,
-    ) -> std::io::Result<RunLedger> {
-        Self::create(root.as_ref().join(format!("{name}-{seed}")))
-    }
-
     /// The run directory.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -137,13 +125,6 @@ impl RunLedger {
         self.write_json_file("env.json", &s);
     }
 
-    /// The path a trace file should use to live inside this run directory
-    /// (pass it to `SEQREC_OBS=jsonl=...`/`chrome=...` or a sink
-    /// constructor).
-    pub fn trace_path(&self, file_name: &str) -> PathBuf {
-        self.dir.join(file_name)
-    }
-
     fn write_json_file(&self, name: &str, json_text: &str) {
         json::parse(json_text).unwrap_or_else(|e| {
             panic!("refusing to write invalid JSON to ledger {name}: {e}\n{json_text}")
@@ -197,7 +178,7 @@ mod tests {
     #[test]
     fn writes_a_complete_run_directory() {
         let root = tmp_dir("full");
-        let ledger = RunLedger::create_named(&root, "unit", 7).unwrap();
+        let ledger = RunLedger::create(root.join("unit-7")).unwrap();
         ledger.write_config(r#"{"model":"test","seed":7}"#);
         ledger.write_env_snapshot();
         ledger.append_metrics(r#"{"epoch":0,"loss":1.5}"#);
@@ -223,11 +204,11 @@ mod tests {
     #[test]
     fn recreating_a_run_truncates_the_jsonl_streams() {
         let root = tmp_dir("trunc");
-        let ledger = RunLedger::create_named(&root, "unit", 1).unwrap();
+        let ledger = RunLedger::create(root.join("unit-1")).unwrap();
         ledger.append_metrics(r#"{"epoch":0}"#);
         ledger.append_dynamics(r#"{"step":1}"#);
         drop(ledger);
-        let ledger = RunLedger::create_named(&root, "unit", 1).unwrap();
+        let ledger = RunLedger::create(root.join("unit-1")).unwrap();
         ledger.append_metrics(r#"{"epoch":0}"#);
         let metrics = std::fs::read_to_string(ledger.dir().join("metrics.jsonl")).unwrap();
         assert_eq!(metrics.lines().count(), 1, "stale lines survived re-creation");
@@ -239,15 +220,7 @@ mod tests {
     #[should_panic(expected = "refusing to write invalid JSON")]
     fn invalid_json_is_rejected() {
         let root = tmp_dir("invalid");
-        let ledger = RunLedger::create_named(&root, "unit", 2).unwrap();
+        let ledger = RunLedger::create(root.join("unit-2")).unwrap();
         ledger.write_config("{not json");
-    }
-
-    #[test]
-    fn trace_path_lives_inside_the_run_dir() {
-        let root = tmp_dir("trace");
-        let ledger = RunLedger::create_named(&root, "unit", 3).unwrap();
-        assert!(ledger.trace_path("trace.json").starts_with(ledger.dir()));
-        let _ = std::fs::remove_dir_all(&root);
     }
 }

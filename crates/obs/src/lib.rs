@@ -57,6 +57,7 @@ pub mod metrics;
 pub mod profile;
 pub mod sink;
 pub mod span;
+pub mod trace;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;

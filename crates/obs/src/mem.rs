@@ -37,11 +37,6 @@ pub fn set_sink_mode(sample: Option<u64>) {
     SINK_SAMPLE.store(sample.map_or(0, |n| n.max(1)), Relaxed);
 }
 
-/// The active sink sampling modulus (0 = off).
-pub fn sink_sample() -> u64 {
-    SINK_SAMPLE.load(Relaxed)
-}
-
 /// Reports one buffer allocation of `bytes` bytes. Returns the buffer id
 /// the caller must hand back to [`on_free`] when the buffer drops, or 0
 /// when tracing is off (the free of an id-0 buffer is a no-op).

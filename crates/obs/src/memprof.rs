@@ -16,9 +16,6 @@
 //! Like the span aggregator, the mem aggregator is strict: a free without
 //! a matching alloc, or a duplicate buffer id, is an error, not a skip.
 
-use crate::json::{self, Value};
-use crate::profile::req_u64;
-
 /// One buffer lifetime: the what-if planner's input, built from a trace by
 /// [`MemProfile::build`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,7 +32,8 @@ pub struct Interval {
     pub alloc_seq: u64,
 }
 
-/// One buffer alloc/free boundary extracted from a trace file.
+/// One buffer alloc/free boundary extracted from a trace file by
+/// [`crate::trace::read`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct MemEvent {
     /// Monotonic buffer id (pairs the alloc with its free).
@@ -53,118 +51,6 @@ pub struct MemEvent {
     pub path: Option<String>,
     /// `true` for an allocation, `false` for a free.
     pub alloc: bool,
-}
-
-/// Extracts the mem events of a JSONL trace; other kinds are skipped.
-///
-/// # Errors
-/// Returns a line-numbered message on malformed JSON or a mem event
-/// missing a field.
-pub fn parse_mem_jsonl(text: &str) -> Result<Vec<MemEvent>, String> {
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| format!("line {}: invalid JSON: {e}", i + 1))?;
-        let alloc = match v.get("ev").and_then(Value::as_str) {
-            Some("mem_alloc") => true,
-            Some("mem_free") => false,
-            _ => continue,
-        };
-        let at = format!("line {}", i + 1);
-        let path = if alloc {
-            Some(
-                v.get("path")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("{at}: mem_alloc without \"path\""))?
-                    .to_string(),
-            )
-        } else {
-            None
-        };
-        events.push(MemEvent {
-            id: req_u64(&v, "id", &at)?,
-            bytes: req_u64(&v, "bytes", &at)?,
-            live_bytes: v.get("live_bytes").and_then(Value::as_f64).map(|f| f as i64),
-            tid: req_u64(&v, "tid", &at)?,
-            ts_us: req_u64(&v, "ts_us", &at)?,
-            path,
-            alloc,
-        });
-    }
-    Ok(events)
-}
-
-/// Extracts the mem events of a Chrome trace: `N`/`D` object events in the
-/// `mem` category, with the buffer id in the hex `id` field and the size
-/// (plus span path, for `N`) in `args`.
-///
-/// # Errors
-/// Returns a message on malformed JSON or a mem object event missing a
-/// field.
-pub fn parse_mem_chrome(text: &str) -> Result<Vec<MemEvent>, String> {
-    let v = json::parse(text).map_err(|e| format!("invalid Chrome trace JSON: {e}"))?;
-    let arr = match &v {
-        Value::Arr(items) => items,
-        _ => return Err("Chrome trace must be a JSON array of events".to_string()),
-    };
-    let mut events = Vec::new();
-    for (i, item) in arr.iter().enumerate() {
-        let alloc = match item.get("ph").and_then(Value::as_str) {
-            Some("N") => true,
-            Some("D") => false,
-            _ => continue,
-        };
-        if item.get("cat").and_then(Value::as_str) != Some("mem") {
-            continue;
-        }
-        let at = format!("event {i}");
-        let id_str = item
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{at}: mem object event without \"id\""))?;
-        let id = id_str
-            .strip_prefix("0x")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| format!("{at}: mem object id `{id_str}` is not 0x-hex"))?;
-        let args =
-            item.get("args").ok_or_else(|| format!("{at}: mem object event without args"))?;
-        let path = if alloc {
-            Some(
-                args.get("path")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("{at}: mem N event without args.path"))?
-                    .to_string(),
-            )
-        } else {
-            None
-        };
-        events.push(MemEvent {
-            id,
-            bytes: req_u64(args, "bytes", &at)?,
-            live_bytes: None,
-            tid: req_u64(item, "tid", &at)?,
-            ts_us: req_u64(item, "ts", &at)?,
-            path,
-            alloc,
-        });
-    }
-    Ok(events)
-}
-
-/// Extracts mem events with the same format auto-detection as
-/// [`crate::profile::parse_auto`].
-///
-/// # Errors
-/// Propagates the format-specific parse errors.
-pub fn parse_mem_auto(text: &str) -> Result<Vec<MemEvent>, String> {
-    if text.trim_start().starts_with('[') {
-        parse_mem_chrome(text)
-    } else {
-        parse_mem_jsonl(text)
-    }
 }
 
 // --- what-if planning --------------------------------------------------------
@@ -504,26 +390,10 @@ impl MemProfile {
     }
 }
 
-/// Replays a mem-event stream in file order and returns the observed peak
-/// of the live-bytes curve (what the `tensor.live_bytes` gauge peak would
-/// read over the traced population).
-pub fn observed_peak_bytes(events: &[MemEvent]) -> u64 {
-    let mut live: i64 = 0;
-    let mut peak: i64 = 0;
-    for ev in events {
-        if ev.alloc {
-            live += ev.bytes as i64;
-            peak = peak.max(live);
-        } else {
-            live -= ev.bytes as i64;
-        }
-    }
-    peak.max(0) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::read;
 
     fn iv(start: u64, end: Option<u64>, bytes: u64, seq: u64) -> Interval {
         Interval { start_us: start, end_us: end, bytes, alloc_seq: seq }
@@ -551,12 +421,12 @@ mod tests {
 {\"ev\":\"mem_alloc\",\"id\":3,\"bytes\":256,\"live_bytes\":256,\"tid\":1,\"ts_us\":10,\"path\":\"epoch;batch\"}\n\
 {\"ev\":\"span_begin\",\"name\":\"x\",\"tid\":1,\"ts_us\":11,\"depth\":0}\n\
 {\"ev\":\"mem_free\",\"id\":3,\"bytes\":256,\"live_bytes\":0,\"tid\":1,\"ts_us\":20}\n";
-        let events = parse_mem_jsonl(text).unwrap();
+        let events = read(text).unwrap().mem;
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].path.as_deref(), Some("epoch;batch"));
         assert_eq!(events[0].live_bytes, Some(256));
         assert!(!events[1].alloc);
-        assert!(parse_mem_jsonl("{\"ev\":\"mem_alloc\",\"id\":1,\"ts_us\":0}").is_err());
+        assert!(read("{\"ev\":\"mem_alloc\",\"id\":1,\"ts_us\":0}").is_err());
     }
 
     #[test]
@@ -566,13 +436,12 @@ mod tests {
 {"name":"tensor.live_bytes","cat":"mem","ph":"C","ts":5,"pid":1,"tid":0,"args":{"value":512}},
 {"name":"buf","cat":"mem","ph":"D","id":"0xa","ts":9,"pid":1,"tid":2,"args":{"bytes":512}}
 ]"#;
-        let events = parse_mem_chrome(text).unwrap();
+        let events = read(text).unwrap().mem;
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].id, 10);
         assert_eq!(events[0].bytes, 512);
         assert_eq!(events[0].path.as_deref(), Some("epoch"));
         assert!(!events[1].alloc);
-        assert_eq!(parse_mem_auto(text).unwrap().len(), 2);
     }
 
     #[test]
@@ -678,7 +547,6 @@ mod tests {
             free(2, 200, 4),
             free(3, 250, 5),
         ];
-        assert_eq!(observed_peak_bytes(&events), 450);
         let p = MemProfile::build(&events).unwrap();
         assert_eq!(p.observed_peak_bytes, 450);
         assert!(whatif_peak_bytes(&p.intervals, 0) <= 450);

@@ -16,17 +16,21 @@
 //!   it exceeds every bound. Each histogram also carries a total sample
 //!   count and a (wrapping) value sum, so means and Prometheus-style
 //!   `_count`/`_sum` series come for free.
-//! * [`WindowedHistogram`] / [`WindowedCounter`] — the rolling-window
-//!   variants behind live serving metrics: a ring of fixed-bucket epochs
-//!   keyed by the trace clock, so p50/p95/p99 latency, queue depth, batch
-//!   occupancy and cache hit rate are queryable *mid-run*, not only at
-//!   shutdown. Window length is process-global ([`set_window_secs`],
+//! * [`WindowedHistogram`] / [`WindowedCounter`] — a histogram or counter
+//!   that also keeps a rolling-window view, for live serving metrics: each
+//!   sample lands in the cumulative instrument and in the current epoch of
+//!   a ring keyed by the trace clock, so p50/p95/p99 latency, queue depth,
+//!   batch occupancy and cache hit rate are queryable *mid-run*, not only
+//!   at shutdown. One bucket store backs a [`Histogram`] and every epoch.
+//!   Window length is process-global ([`set_window_secs`],
 //!   `SEQREC_OBS=window=SECS`).
 //!
 //! The well-known instruments of the training stack are declared here as
 //! statics ([`GEMM_FLOPS`], [`TAPE_NODES`], …) and enumerated by
 //! [`snapshot`], which is also what sinks serialise on flush and what the
-//! Prometheus-style exposition ([`crate::expo`]) renders.
+//! Prometheus-style exposition ([`crate::expo`]) renders. A windowed
+//! instrument gives two readings: its cumulative view under its own name
+//! (`serve.latency_us`) and its window under `<name>.window`.
 //!
 //! ## Snapshot consistency
 //!
@@ -163,23 +167,19 @@ impl Gauge {
     }
 }
 
-/// A fixed-bucket histogram with upper-inclusive bucket bounds.
-pub struct Histogram {
-    name: &'static str,
-    bounds: &'static [u64],
+/// Disjoint per-bucket counts plus a sample total and a (wrapping) value
+/// sum: the store behind a [`Histogram`] and behind each epoch of a
+/// rolling window.
+struct Buckets {
     counts: [AtomicU64; MAX_BUCKETS],
     overflow: AtomicU64,
     total: AtomicU64,
     sum: AtomicU64,
 }
 
-impl Histogram {
-    /// A new histogram over `bounds` (ascending, at most [`MAX_BUCKETS`]).
-    pub const fn new(name: &'static str, bounds: &'static [u64]) -> Self {
-        assert!(bounds.len() <= MAX_BUCKETS, "too many histogram buckets");
-        Histogram {
-            name,
-            bounds,
+impl Buckets {
+    const fn new() -> Self {
+        Buckets {
             counts: [const { AtomicU64::new(0) }; MAX_BUCKETS],
             overflow: AtomicU64::new(0),
             total: AtomicU64::new(0),
@@ -189,19 +189,51 @@ impl Histogram {
 
     /// Records one sample: the first bucket with `bound >= value`, or the
     /// overflow bucket. The total is bumped *before* the bucket so that a
-    /// concurrent snapshot (which reads buckets first) never observes
+    /// concurrent read (which reads buckets first) never observes
     /// `sum(buckets) + overflow > total`.
     #[inline]
-    pub fn record(&self, value: u64) {
+    fn record(&self, bounds: &[u64], value: u64) {
         self.total.fetch_add(1, Relaxed);
         self.sum.fetch_add(value, Relaxed);
-        for (i, &b) in self.bounds.iter().enumerate() {
-            if value <= b {
-                self.counts[i].fetch_add(1, Relaxed);
-                return;
-            }
+        match bounds.iter().position(|&b| value <= b) {
+            Some(i) => self.counts[i].fetch_add(1, Relaxed),
+            None => self.overflow.fetch_add(1, Relaxed),
+        };
+    }
+
+    fn counts(&self, bounds: &[u64]) -> Vec<u64> {
+        self.counts[..bounds.len()].iter().map(|c| c.load(Relaxed)).collect()
+    }
+
+    fn clear(&self) {
+        for c in &self.counts {
+            c.store(0, Relaxed);
         }
-        self.overflow.fetch_add(1, Relaxed);
+        self.overflow.store(0, Relaxed);
+        self.total.store(0, Relaxed);
+        self.sum.store(0, Relaxed);
+    }
+}
+
+/// A fixed-bucket histogram with upper-inclusive bucket bounds.
+pub struct Histogram {
+    name: &'static str,
+    bounds: &'static [u64],
+    buckets: Buckets,
+}
+
+impl Histogram {
+    /// A new histogram over `bounds` (ascending, at most [`MAX_BUCKETS`]).
+    pub const fn new(name: &'static str, bounds: &'static [u64]) -> Self {
+        assert!(bounds.len() <= MAX_BUCKETS, "too many histogram buckets");
+        Histogram { name, bounds, buckets: Buckets::new() }
+    }
+
+    /// Records one sample: the first bucket with `bound >= value`, or the
+    /// overflow bucket.
+    #[inline]
+    pub fn record(&self, value: u64) {
+        self.buckets.record(self.bounds, value);
     }
 
     /// The bucket bounds.
@@ -211,35 +243,23 @@ impl Histogram {
 
     /// Per-bucket counts, in bound order.
     pub fn counts(&self) -> Vec<u64> {
-        self.bounds.iter().enumerate().map(|(i, _)| self.counts[i].load(Relaxed)).collect()
+        self.buckets.counts(self.bounds)
     }
 
     /// Samples above every bound.
     pub fn overflow(&self) -> u64 {
-        self.overflow.load(Relaxed)
+        self.buckets.overflow.load(Relaxed)
     }
 
     /// Total samples recorded. Under concurrent recording this is `>=`
-    /// the sum of the bucket counts read afterwards (see [`record`]).
-    ///
-    /// [`record`]: Histogram::record
+    /// the sum of the bucket counts read afterwards.
     pub fn total(&self) -> u64 {
-        self.total.load(Relaxed)
+        self.buckets.total.load(Relaxed)
     }
 
     /// Sum of all recorded values (wrapping).
     pub fn sum(&self) -> u64 {
-        self.sum.load(Relaxed)
-    }
-
-    /// A bucket-resolution estimate of the `q`-quantile (`0.0..=1.0`):
-    /// the smallest bound whose cumulative count reaches `ceil(q·total)`,
-    /// or `u64::MAX` when it lands in the overflow region. `None` on an
-    /// empty histogram.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        let counts = self.counts();
-        let overflow = self.overflow();
-        histogram_quantile(self.bounds, &counts, overflow, q)
+        self.buckets.sum.load(Relaxed)
     }
 
     /// The registry name.
@@ -249,12 +269,7 @@ impl Histogram {
 
     /// Resets all buckets.
     pub fn reset(&self) {
-        for c in &self.counts {
-            c.store(0, Relaxed);
-        }
-        self.overflow.store(0, Relaxed);
-        self.total.store(0, Relaxed);
-        self.sum.store(0, Relaxed);
+        self.buckets.clear();
     }
 }
 
@@ -280,34 +295,16 @@ pub fn histogram_quantile(bounds: &[u64], counts: &[u64], overflow: u64, q: f64)
 
 // --- rolling-window instruments ---------------------------------------------
 
-/// One epoch of a rolling window: tagged with `epoch + 1` (0 = never used)
-/// and claimed by CAS when the ring wraps onto it.
+/// One epoch of a rolling window: a bucket store tagged with `epoch + 1`
+/// (0 = never used) and claimed by CAS when the ring wraps onto it.
 struct WindowSlot {
     epoch: AtomicU64,
-    counts: [AtomicU64; MAX_BUCKETS],
-    overflow: AtomicU64,
-    total: AtomicU64,
-    sum: AtomicU64,
+    buckets: Buckets,
 }
 
 impl WindowSlot {
     const fn new() -> Self {
-        WindowSlot {
-            epoch: AtomicU64::new(0),
-            counts: [const { AtomicU64::new(0) }; MAX_BUCKETS],
-            overflow: AtomicU64::new(0),
-            total: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    fn clear(&self) {
-        for c in &self.counts {
-            c.store(0, Relaxed);
-        }
-        self.overflow.store(0, Relaxed);
-        self.total.store(0, Relaxed);
-        self.sum.store(0, Relaxed);
+        WindowSlot { epoch: AtomicU64::new(0), buckets: Buckets::new() }
     }
 
     /// Ensures the slot is tagged for `epoch`, zeroing it if this thread
@@ -327,9 +324,65 @@ impl WindowSlot {
                 // Winner zeroes the recycled slot. Samples recorded into the
                 // old epoch between the CAS and the clear are lost — bounded,
                 // rotation-instant-only loss, acceptable for a live window.
-                self.clear();
+                self.buckets.clear();
                 return true;
             }
+        }
+    }
+}
+
+/// A ring of [`WINDOW_SLOTS`] epochs keyed by the trace clock: recording
+/// lands in the current epoch's slot, and reading aggregates every slot
+/// whose epoch is still inside the window, so a read reflects roughly the
+/// last [`window_us`] of samples (expiry granularity one epoch).
+struct Ring([WindowSlot; WINDOW_SLOTS]);
+
+impl Ring {
+    const fn new() -> Self {
+        Ring([const { WindowSlot::new() }; WINDOW_SLOTS])
+    }
+
+    /// The current epoch's store, or `None` when its slot already belongs
+    /// to a newer epoch.
+    #[inline]
+    fn current(&self) -> Option<&Buckets> {
+        let epoch = current_epoch();
+        let slot = &self.0[(epoch % WINDOW_SLOTS as u64) as usize];
+        slot.claim(epoch).then_some(&slot.buckets)
+    }
+
+    /// Aggregates the live epochs over `bounds`. The total is what the
+    /// buckets hold, so a window read never tears.
+    fn read(&self, bounds: &'static [u64]) -> WindowSnapshot {
+        let now = current_epoch();
+        let live = now.saturating_sub(WINDOW_SLOTS as u64 - 1)..=now;
+        let mut counts = vec![0u64; bounds.len()];
+        let mut overflow = 0u64;
+        let mut sum = 0u64;
+        for slot in &self.0 {
+            let tag = slot.epoch.load(Relaxed);
+            if !live.contains(&tag) {
+                continue;
+            }
+            let slot_counts = slot.buckets.counts(bounds);
+            let slot_overflow = slot.buckets.overflow.load(Relaxed);
+            if slot.epoch.load(Relaxed) != tag {
+                continue; // rotated under us; its samples just expired
+            }
+            for (c, s) in counts.iter_mut().zip(&slot_counts) {
+                *c += s;
+            }
+            overflow += slot_overflow;
+            sum = sum.wrapping_add(slot.buckets.sum.load(Relaxed));
+        }
+        let total = counts.iter().sum::<u64>() + overflow;
+        WindowSnapshot { window_us: window_us(), bounds, counts, overflow, total, sum }
+    }
+
+    fn reset(&self) {
+        for slot in &self.0 {
+            slot.epoch.store(0, Relaxed);
+            slot.buckets.clear();
         }
     }
 }
@@ -356,159 +409,93 @@ impl WindowSnapshot {
     pub fn quantile(&self, q: f64) -> Option<u64> {
         histogram_quantile(self.bounds, &self.counts, self.overflow, q)
     }
-
-    /// Mean sample value over the window; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.total == 0 {
-            None
-        } else {
-            Some(self.sum as f64 / self.total as f64)
-        }
-    }
 }
 
-/// A rolling-window histogram: a ring of [`WINDOW_SLOTS`] fixed-bucket
-/// epochs keyed by the trace clock. Recording lands in the current epoch's
-/// slot; reading aggregates every slot whose epoch is still inside the
-/// window, so quantiles reflect roughly the last [`window_us`] of samples
-/// (expiry granularity one epoch).
+/// A histogram with a rolling-window view: every sample lands in the
+/// cumulative [`Histogram`] and in the current epoch of a [`WINDOW_SLOTS`]
+/// ring, so p50/p95/p99 are queryable *mid-run*, not only at shutdown.
 pub struct WindowedHistogram {
-    name: &'static str,
-    bounds: &'static [u64],
-    slots: [WindowSlot; WINDOW_SLOTS],
+    hist: Histogram,
+    window_name: &'static str,
+    ring: Ring,
 }
 
 impl WindowedHistogram {
-    /// A new rolling-window histogram over `bounds`.
-    pub const fn new(name: &'static str, bounds: &'static [u64]) -> Self {
-        assert!(bounds.len() <= MAX_BUCKETS, "too many histogram buckets");
-        WindowedHistogram { name, bounds, slots: [const { WindowSlot::new() }; WINDOW_SLOTS] }
+    /// A new instrument over `bounds`; `name` labels the cumulative view
+    /// and `window_name` the rolling one.
+    pub const fn new(
+        name: &'static str,
+        window_name: &'static str,
+        bounds: &'static [u64],
+    ) -> Self {
+        WindowedHistogram { hist: Histogram::new(name, bounds), window_name, ring: Ring::new() }
     }
 
-    /// Records one sample into the current epoch.
+    /// Records one sample into both views.
     #[inline]
     pub fn record(&self, value: u64) {
-        let epoch = current_epoch();
-        let slot = &self.slots[(epoch % WINDOW_SLOTS as u64) as usize];
-        if !slot.claim(epoch) {
-            return;
+        self.hist.record(value);
+        if let Some(epoch) = self.ring.current() {
+            epoch.record(self.hist.bounds, value);
         }
-        slot.total.fetch_add(1, Relaxed);
-        slot.sum.fetch_add(value, Relaxed);
-        for (i, &b) in self.bounds.iter().enumerate() {
-            if value <= b {
-                slot.counts[i].fetch_add(1, Relaxed);
-                return;
-            }
-        }
-        slot.overflow.fetch_add(1, Relaxed);
     }
 
-    /// The bucket bounds.
-    pub fn bounds(&self) -> &'static [u64] {
-        self.bounds
-    }
-
-    /// The registry name.
-    pub fn name(&self) -> &'static str {
-        self.name
+    /// The cumulative view.
+    pub fn cumulative(&self) -> &Histogram {
+        &self.hist
     }
 
     /// Aggregates the live epochs into one [`WindowSnapshot`].
     pub fn window_snapshot(&self) -> WindowSnapshot {
-        let now_epoch = current_epoch();
-        let oldest_live = now_epoch.saturating_sub(WINDOW_SLOTS as u64 - 1);
-        let mut counts = vec![0u64; self.bounds.len()];
-        let mut overflow = 0u64;
-        let mut total = 0u64;
-        let mut sum = 0u64;
-        for slot in &self.slots {
-            let tag = slot.epoch.load(Relaxed);
-            if tag < oldest_live || tag > now_epoch {
-                continue;
-            }
-            // Buckets before total: a sample concurrent with this read may be
-            // counted in total but not yet in a bucket, never the reverse.
-            let slot_counts: Vec<u64> =
-                self.bounds.iter().enumerate().map(|(i, _)| slot.counts[i].load(Relaxed)).collect();
-            let slot_overflow = slot.overflow.load(Relaxed);
-            if slot.epoch.load(Relaxed) != tag {
-                continue; // rotated under us; its samples just expired
-            }
-            for (c, s) in counts.iter_mut().zip(&slot_counts) {
-                *c += s;
-            }
-            overflow += slot_overflow;
-            total += slot_counts.iter().sum::<u64>() + slot_overflow;
-            sum = sum.wrapping_add(slot.sum.load(Relaxed));
-        }
-        WindowSnapshot { window_us: window_us(), bounds: self.bounds, counts, overflow, total, sum }
+        self.ring.read(self.hist.bounds)
     }
 
-    /// Resets every epoch (benchmark harnesses and tests).
+    /// Resets both views (benchmark harnesses and tests).
     pub fn reset(&self) {
-        for slot in &self.slots {
-            slot.epoch.store(0, Relaxed);
-            slot.clear();
-        }
+        self.hist.reset();
+        self.ring.reset();
     }
 }
 
-/// A rolling-window counter: the same epoch ring as [`WindowedHistogram`]
-/// but holding only a per-epoch sum, for rates like cache hits over the
-/// last window.
+/// A counter with a rolling-window view: every add lands in the
+/// cumulative [`Counter`] and in the current epoch's sum, for rates like
+/// cache hits over the last window.
 pub struct WindowedCounter {
-    name: &'static str,
-    slots: [WindowSlot; WINDOW_SLOTS],
+    counter: Counter,
+    window_name: &'static str,
+    ring: Ring,
 }
 
 impl WindowedCounter {
-    /// A new rolling-window counter.
-    pub const fn new(name: &'static str) -> Self {
-        WindowedCounter { name, slots: [const { WindowSlot::new() }; WINDOW_SLOTS] }
+    /// A new instrument; `name` labels the cumulative view and
+    /// `window_name` the rolling one.
+    pub const fn new(name: &'static str, window_name: &'static str) -> Self {
+        WindowedCounter { counter: Counter::new(name), window_name, ring: Ring::new() }
     }
 
-    /// Adds `n` to the current epoch.
+    /// Adds `n` to both views.
     #[inline]
     pub fn add(&self, n: u64) {
-        let epoch = current_epoch();
-        let slot = &self.slots[(epoch % WINDOW_SLOTS as u64) as usize];
-        if slot.claim(epoch) {
-            slot.sum.fetch_add(n, Relaxed);
+        self.counter.add(n);
+        if let Some(epoch) = self.ring.current() {
+            epoch.sum.fetch_add(n, Relaxed);
         }
     }
 
-    /// Adds one to the current epoch.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
+    /// The cumulative count.
+    pub fn get(&self) -> u64 {
+        self.counter.get()
     }
 
     /// The sum over the live epochs.
     pub fn windowed_value(&self) -> u64 {
-        let now_epoch = current_epoch();
-        let oldest_live = now_epoch.saturating_sub(WINDOW_SLOTS as u64 - 1);
-        let mut sum = 0u64;
-        for slot in &self.slots {
-            let tag = slot.epoch.load(Relaxed);
-            if tag >= oldest_live && tag <= now_epoch {
-                sum = sum.wrapping_add(slot.sum.load(Relaxed));
-            }
-        }
-        sum
+        self.ring.read(&[]).sum
     }
 
-    /// The registry name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Resets every epoch.
+    /// Resets both views.
     pub fn reset(&self) {
-        for slot in &self.slots {
-            slot.epoch.store(0, Relaxed);
-            slot.clear();
-        }
+        self.counter.reset();
+        self.ring.reset();
     }
 }
 
@@ -577,10 +564,13 @@ pub static DP_SHARD_LOSS_SPREAD_MILLI: Histogram = Histogram::new(
 );
 /// Score requests handled by the serving stack.
 pub static SERVE_REQUESTS: Counter = Counter::new("serve.requests");
-/// Serve requests whose encoder state came from the user-state cache.
-pub static SERVE_CACHE_HITS: Counter = Counter::new("serve.cache.hits");
+/// Serve requests whose encoder state came from the user-state cache; the
+/// window view gives the live hit rate = hits / (hits + misses).
+pub static SERVE_CACHE_HITS: WindowedCounter =
+    WindowedCounter::new("serve.cache.hits", "serve.cache.hits.window");
 /// Serve requests that had to re-encode the user's history.
-pub static SERVE_CACHE_MISSES: Counter = Counter::new("serve.cache.misses");
+pub static SERVE_CACHE_MISSES: WindowedCounter =
+    WindowedCounter::new("serve.cache.misses", "serve.cache.misses.window");
 /// Forward batches executed by the scoring service.
 pub static SERVE_BATCHES: Counter = Counter::new("serve.batches");
 /// Distribution of per-serve-batch wall time (µs), model forward + top-K.
@@ -596,8 +586,7 @@ pub static SERVE_QUEUE: Gauge = Gauge::new("serve.queue");
 /// Requests admitted to a batch but not yet replied to.
 pub static SERVE_IN_FLIGHT: Gauge = Gauge::new("serve.in_flight");
 
-/// Bucket bounds shared by the cumulative and windowed serve-latency
-/// histograms (µs).
+/// Bucket bounds of the serve-latency histogram (µs).
 pub const SERVE_LATENCY_BOUNDS: &[u64] = &[
     50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 500_000, 1_000_000,
     5_000_000,
@@ -607,29 +596,20 @@ pub const SERVE_QUEUE_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 51
 /// Bucket bounds for batch-occupancy histograms (percent of `max_batch`).
 pub const SERVE_OCCUPANCY_BOUNDS: &[u64] = &[1, 5, 10, 25, 50, 75, 90, 100];
 
-/// Distribution of client-observed request latency (µs), enqueue → reply.
-pub static SERVE_LATENCY_US: Histogram = Histogram::new("serve.latency_us", SERVE_LATENCY_BOUNDS);
-/// Rolling-window view of [`SERVE_LATENCY_US`]: live p50/p95/p99.
-pub static SERVE_LATENCY_US_WINDOW: WindowedHistogram =
-    WindowedHistogram::new("serve.latency_us.window", SERVE_LATENCY_BOUNDS);
+/// Distribution of client-observed request latency (µs), enqueue → reply;
+/// the window view gives live p50/p95/p99.
+pub static SERVE_LATENCY_US: WindowedHistogram =
+    WindowedHistogram::new("serve.latency_us", "serve.latency_us.window", SERVE_LATENCY_BOUNDS);
 /// Distribution of queue depth observed at batch admission.
-pub static SERVE_QUEUE_DEPTH: Histogram = Histogram::new("serve.queue_depth", SERVE_QUEUE_BOUNDS);
-/// Rolling-window view of [`SERVE_QUEUE_DEPTH`].
-pub static SERVE_QUEUE_DEPTH_WINDOW: WindowedHistogram =
-    WindowedHistogram::new("serve.queue_depth.window", SERVE_QUEUE_BOUNDS);
+pub static SERVE_QUEUE_DEPTH: WindowedHistogram =
+    WindowedHistogram::new("serve.queue_depth", "serve.queue_depth.window", SERVE_QUEUE_BOUNDS);
 /// Distribution of batch occupancy (batch size as a percent of
 /// `max_batch`) per executed serve batch.
-pub static SERVE_BATCH_OCCUPANCY_PCT: Histogram =
-    Histogram::new("serve.batch_occupancy_pct", SERVE_OCCUPANCY_BOUNDS);
-/// Rolling-window view of [`SERVE_BATCH_OCCUPANCY_PCT`].
-pub static SERVE_BATCH_OCCUPANCY_PCT_WINDOW: WindowedHistogram =
-    WindowedHistogram::new("serve.batch_occupancy_pct.window", SERVE_OCCUPANCY_BOUNDS);
-/// Rolling-window cache hits (live hit rate = hits / (hits + misses)).
-pub static SERVE_CACHE_HITS_WINDOW: WindowedCounter =
-    WindowedCounter::new("serve.cache.hits.window");
-/// Rolling-window cache misses.
-pub static SERVE_CACHE_MISSES_WINDOW: WindowedCounter =
-    WindowedCounter::new("serve.cache.misses.window");
+pub static SERVE_BATCH_OCCUPANCY_PCT: WindowedHistogram = WindowedHistogram::new(
+    "serve.batch_occupancy_pct",
+    "serve.batch_occupancy_pct.window",
+    SERVE_OCCUPANCY_BOUNDS,
+);
 
 /// Records a non-negative float into a scaled histogram: `value * scale`,
 /// saturating, with NaN/Inf mapped to `u64::MAX` (the overflow bucket).
@@ -714,8 +694,8 @@ fn counters() -> [&'static Counter; 17] {
         &MEM_TRACED_ALLOCS,
         &MEM_TRACED_FREES,
         &SERVE_REQUESTS,
-        &SERVE_CACHE_HITS,
-        &SERVE_CACHE_MISSES,
+        &SERVE_CACHE_HITS.counter,
+        &SERVE_CACHE_MISSES.counter,
         &SERVE_BATCHES,
         &SERVE_ERRORS,
     ]
@@ -733,18 +713,18 @@ fn histograms() -> [&'static Histogram; 9] {
         &UPDATE_RATIO_MICRO,
         &DP_SHARD_LOSS_SPREAD_MILLI,
         &SERVE_BATCH_US,
-        &SERVE_LATENCY_US,
-        &SERVE_QUEUE_DEPTH,
-        &SERVE_BATCH_OCCUPANCY_PCT,
+        &SERVE_LATENCY_US.hist,
+        &SERVE_QUEUE_DEPTH.hist,
+        &SERVE_BATCH_OCCUPANCY_PCT.hist,
     ]
 }
 
 fn windowed_histograms() -> [&'static WindowedHistogram; 3] {
-    [&SERVE_LATENCY_US_WINDOW, &SERVE_QUEUE_DEPTH_WINDOW, &SERVE_BATCH_OCCUPANCY_PCT_WINDOW]
+    [&SERVE_LATENCY_US, &SERVE_QUEUE_DEPTH, &SERVE_BATCH_OCCUPANCY_PCT]
 }
 
 fn windowed_counters() -> [&'static WindowedCounter; 2] {
-    [&SERVE_CACHE_HITS_WINDOW, &SERVE_CACHE_MISSES_WINDOW]
+    [&SERVE_CACHE_HITS, &SERVE_CACHE_MISSES]
 }
 
 /// Reads every registered metric.
@@ -777,7 +757,7 @@ pub fn snapshot() -> Vec<MetricReading> {
     for w in windowed_histograms() {
         let s = w.window_snapshot();
         out.push(MetricReading {
-            name: w.name(),
+            name: w.window_name,
             value: MetricValue::Window {
                 window_us: s.window_us,
                 bounds: s.bounds,
@@ -790,7 +770,7 @@ pub fn snapshot() -> Vec<MetricReading> {
     }
     for w in windowed_counters() {
         out.push(MetricReading {
-            name: w.name(),
+            name: w.window_name,
             value: MetricValue::WindowCount { window_us: window_us(), value: w.windowed_value() },
         });
     }
@@ -976,12 +956,13 @@ mod tests {
             H.record(50); // bucket 1
         }
         H.record(5_000); // overflow
-        assert_eq!(H.quantile(0.5), Some(10));
-        assert_eq!(H.quantile(0.9), Some(10));
-        assert_eq!(H.quantile(0.95), Some(100));
-        assert_eq!(H.quantile(0.999), Some(u64::MAX));
+        let quantile = |q| histogram_quantile(H.bounds(), &H.counts(), H.overflow(), q);
+        assert_eq!(quantile(0.5), Some(10));
+        assert_eq!(quantile(0.9), Some(10));
+        assert_eq!(quantile(0.95), Some(100));
+        assert_eq!(quantile(0.999), Some(u64::MAX));
         H.reset();
-        assert_eq!(H.quantile(0.5), None);
+        assert_eq!(quantile(0.5), None);
     }
 
     #[test]
@@ -993,7 +974,7 @@ mod tests {
 
     #[test]
     fn windowed_histogram_sees_recent_samples() {
-        static W: WindowedHistogram = WindowedHistogram::new("t", &[10, 100, 1_000]);
+        static W: WindowedHistogram = WindowedHistogram::new("t", "t.window", &[10, 100, 1_000]);
         W.reset();
         for v in [5, 50, 500, 5_000] {
             W.record(v);
@@ -1004,32 +985,33 @@ mod tests {
         assert_eq!(s.overflow, 1);
         assert_eq!(s.sum, 5_555);
         assert_eq!(s.quantile(0.5), Some(100));
-        assert_eq!(s.mean(), Some(5_555.0 / 4.0));
+        assert_eq!((W.cumulative().total(), W.cumulative().sum()), (4, 5_555));
         W.reset();
         assert_eq!(W.window_snapshot().total, 0);
+        assert_eq!(W.cumulative().total(), 0);
     }
 
     #[test]
     fn windowed_counter_sums_recent_adds() {
-        static W: WindowedCounter = WindowedCounter::new("t");
+        static W: WindowedCounter = WindowedCounter::new("t", "t.window");
         W.reset();
         W.add(3);
-        W.incr();
-        assert_eq!(W.windowed_value(), 4);
+        W.add(1);
+        assert_eq!((W.windowed_value(), W.get()), (4, 4));
         W.reset();
-        assert_eq!(W.windowed_value(), 0);
+        assert_eq!((W.windowed_value(), W.get()), (0, 0));
     }
 
     #[test]
     fn window_slot_rejects_stale_epochs() {
         let slot = WindowSlot::new();
         assert!(slot.claim(5));
-        slot.sum.fetch_add(7, Relaxed);
+        slot.buckets.sum.fetch_add(7, Relaxed);
         assert!(slot.claim(5)); // same epoch keeps data
-        assert_eq!(slot.sum.load(Relaxed), 7);
+        assert_eq!(slot.buckets.sum.load(Relaxed), 7);
         assert!(!slot.claim(3)); // older epoch is refused
         assert!(slot.claim(9)); // newer epoch recycles the slot
-        assert_eq!(slot.sum.load(Relaxed), 0);
+        assert_eq!(slot.buckets.sum.load(Relaxed), 0);
     }
 
     #[test]

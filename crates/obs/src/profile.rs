@@ -1,5 +1,6 @@
-//! Span-trace aggregation: folds a JSONL or Chrome trace produced by this
-//! crate's sinks into a hierarchical inclusive/exclusive time profile.
+//! Span-trace aggregation: folds the span events of a trace (as read by
+//! [`crate::trace::read`]) into a hierarchical inclusive/exclusive time
+//! profile, and its serve request events into a per-stage latency profile.
 //!
 //! Inclusive time of a call path is the wall-clock sum of all spans at that
 //! path; exclusive (self) time subtracts the inclusive time of the path's
@@ -11,8 +12,6 @@
 //! begin/end name mismatch, or a span still open at end-of-trace is an
 //! error, not a silent skip. A trace that does not pair up is a bug in the
 //! producer and must not fold into a plausible-looking profile.
-
-use crate::json::{self, Value};
 
 /// One span boundary extracted from a trace file.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -27,126 +26,12 @@ pub struct SpanEvent {
     pub begin: bool,
 }
 
-/// Parses the events of a JSONL trace (`{"ev":"span_begin",...}` lines).
-/// Non-span lines (logs, counters) are skipped; malformed lines are errors.
+/// The span events of a trace: the `spans` of [`crate::trace::read`].
 ///
 /// # Errors
-/// Returns a message naming the offending line on malformed JSON, a missing
-/// field, or an unknown `ev` kind.
+/// Propagates the reader's diagnostics.
 pub fn parse_jsonl(text: &str) -> Result<Vec<SpanEvent>, String> {
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| format!("line {}: invalid JSON: {e}", i + 1))?;
-        let ev = v
-            .get("ev")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {}: missing \"ev\" field", i + 1))?;
-        let at = format!("line {}", i + 1);
-        let begin = match ev {
-            "span_begin" => true,
-            "span_end" => false,
-            // Non-span kinds are skipped, but a malformed line must still
-            // be a line-numbered error, not a silent pass: every kind
-            // carries a timestamp, and mem events carry an id and a size.
-            "log" | "counter" | "request" | "mem_alloc" | "mem_free" => {
-                req_u64(&v, "ts_us", &at)?;
-                if ev.starts_with("mem_") {
-                    req_u64(&v, "id", &at)?;
-                    req_u64(&v, "bytes", &at)?;
-                }
-                continue;
-            }
-            other => return Err(format!("{at}: unknown event kind `{other}`")),
-        };
-        events.push(SpanEvent {
-            name: v
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("{at}: span without \"name\""))?
-                .to_string(),
-            tid: req_u64(&v, "tid", &at)?,
-            ts_us: req_u64(&v, "ts_us", &at)?,
-            begin,
-        });
-    }
-    Ok(events)
-}
-
-/// Parses the events of a Chrome trace-event array (`"ph":"B"`/`"E"`).
-/// Metadata (`M`), instants (`i`) and counters (`C`) are skipped.
-///
-/// # Errors
-/// Returns a message on malformed JSON, a non-array document, or a
-/// duration event missing a required field.
-pub fn parse_chrome(text: &str) -> Result<Vec<SpanEvent>, String> {
-    let v = json::parse(text).map_err(|e| format!("invalid Chrome trace JSON: {e}"))?;
-    let arr = match &v {
-        Value::Arr(items) => items,
-        _ => return Err("Chrome trace must be a JSON array of events".to_string()),
-    };
-    let mut events = Vec::new();
-    for (i, item) in arr.iter().enumerate() {
-        let ph = item
-            .get("ph")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("event {i}: missing \"ph\" field"))?;
-        let at = format!("event {i}");
-        let begin = match ph {
-            "B" => true,
-            "E" => false,
-            "M" | "i" | "C" | "X" | "N" | "D" => continue,
-            other => return Err(format!("{at}: unknown phase `{other}`")),
-        };
-        events.push(SpanEvent {
-            name: item
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("{at}: span without \"name\""))?
-                .to_string(),
-            tid: req_u64(item, "tid", &at)?,
-            ts_us: req_u64(item, "ts", &at)?,
-            begin,
-        });
-    }
-    Ok(events)
-}
-
-/// Parses a trace file's text, auto-detecting the format: a document whose
-/// first non-whitespace byte is `[` is a Chrome trace, anything else JSONL.
-///
-/// # Errors
-/// Propagates the format-specific parse errors.
-pub fn parse_auto(text: &str) -> Result<Vec<SpanEvent>, String> {
-    if text.trim_start().starts_with('[') {
-        parse_chrome(text)
-    } else {
-        parse_jsonl(text)
-    }
-}
-
-fn field_u64(v: &Value, key: &str) -> Option<u64> {
-    let f = v.get(key)?.as_f64()?;
-    if f >= 0.0 {
-        Some(f as u64)
-    } else {
-        None
-    }
-}
-
-/// Required non-negative integer field with a diagnostic that names the
-/// location and distinguishes a missing key from an invalid value.
-pub(crate) fn req_u64(v: &Value, key: &str, at: &str) -> Result<u64, String> {
-    match v.get(key) {
-        None => Err(format!("{at}: missing \"{key}\"")),
-        Some(val) => match val.as_f64() {
-            Some(f) if f >= 0.0 && f.is_finite() => Ok(f as u64),
-            _ => Err(format!("{at}: \"{key}\" must be a non-negative number")),
-        },
-    }
+    crate::trace::read(text).map(|t| t.spans)
 }
 
 /// One aggregated call-path node.
@@ -360,93 +245,12 @@ pub struct RequestEvent {
     pub dur_us: u64,
 }
 
-/// Extracts the request events of a JSONL trace; everything else is
-/// skipped (the complement of [`parse_jsonl`]).
+/// The request events of a trace: the `requests` of [`crate::trace::read`].
 ///
 /// # Errors
-/// Returns a message naming the offending line on malformed JSON or a
-/// request event missing a field.
+/// Propagates the reader's diagnostics.
 pub fn parse_requests_jsonl(text: &str) -> Result<Vec<RequestEvent>, String> {
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| format!("line {}: invalid JSON: {e}", i + 1))?;
-        if v.get("ev").and_then(Value::as_str) != Some("request") {
-            continue;
-        }
-        let at = format!("line {}", i + 1);
-        let field = |key: &str| req_u64(&v, key, &at);
-        events.push(RequestEvent {
-            req: field("req")?,
-            user: field("user")?,
-            stage: v
-                .get("stage")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("line {}: request without \"stage\"", i + 1))?
-                .to_string(),
-            tid: field("tid")?,
-            ts_us: field("ts_us")?,
-            dur_us: field("dur_us")?,
-        });
-    }
-    Ok(events)
-}
-
-/// Extracts the request events of a Chrome trace: `X` complete events in
-/// the `serve` category, named `req.<stage>`, with `args.req`/`args.user`.
-///
-/// # Errors
-/// Returns a message on malformed JSON or a serve `X` event missing a
-/// field.
-pub fn parse_requests_chrome(text: &str) -> Result<Vec<RequestEvent>, String> {
-    let v = json::parse(text).map_err(|e| format!("invalid Chrome trace JSON: {e}"))?;
-    let arr = match &v {
-        Value::Arr(items) => items,
-        _ => return Err("Chrome trace must be a JSON array of events".to_string()),
-    };
-    let mut events = Vec::new();
-    for (i, item) in arr.iter().enumerate() {
-        if item.get("ph").and_then(Value::as_str) != Some("X")
-            || item.get("cat").and_then(Value::as_str) != Some("serve")
-        {
-            continue;
-        }
-        let name = item
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("event {i}: serve X event without \"name\""))?;
-        let stage = name.strip_prefix("req.").ok_or_else(|| {
-            format!("event {i}: serve X event named `{name}`, want `req.<stage>`")
-        })?;
-        let args =
-            item.get("args").ok_or_else(|| format!("event {i}: serve X event without args"))?;
-        let at = format!("event {i}");
-        events.push(RequestEvent {
-            req: field_u64(args, "req").ok_or_else(|| format!("{at}: missing args.req"))?,
-            user: field_u64(args, "user").ok_or_else(|| format!("{at}: missing args.user"))?,
-            stage: stage.to_string(),
-            tid: req_u64(item, "tid", &at)?,
-            ts_us: req_u64(item, "ts", &at)?,
-            dur_us: req_u64(item, "dur", &at)?,
-        });
-    }
-    Ok(events)
-}
-
-/// Extracts request events with the same format auto-detection as
-/// [`parse_auto`].
-///
-/// # Errors
-/// Propagates the format-specific parse errors.
-pub fn parse_requests_auto(text: &str) -> Result<Vec<RequestEvent>, String> {
-    if text.trim_start().starts_with('[') {
-        parse_requests_chrome(text)
-    } else {
-        parse_requests_jsonl(text)
-    }
+    crate::trace::read(text).map(|t| t.requests)
 }
 
 /// Aggregated timing of one request-lifecycle stage.
@@ -549,6 +353,7 @@ impl RequestProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::read;
 
     fn ev(name: &str, ts: u64, begin: bool) -> SpanEvent {
         SpanEvent { name: name.to_string(), tid: 1, ts_us: ts, begin }
@@ -561,7 +366,7 @@ mod tests {
 {\"ev\":\"log\",\"level\":\"info\",\"msg\":\"hi\",\"tid\":1,\"ts_us\":12}\n\
 {\"ev\":\"span_end\",\"name\":\"epoch\",\"tid\":1,\"ts_us\":50,\"dur_us\":40,\"depth\":0}\n\
 {\"ev\":\"counter\",\"name\":\"gemm.flops\",\"value\":9,\"ts_us\":60}\n";
-        let events = parse_jsonl(text).unwrap();
+        let events = read(text).unwrap().spans;
         assert_eq!(events.len(), 2);
         assert!(events[0].begin && !events[1].begin);
         let p = Profile::build(&events).unwrap();
@@ -576,7 +381,7 @@ mod tests {
 {"name":"gemm.flops","cat":"metrics","ph":"C","ts":5,"pid":1,"tid":0,"args":{"value":3}},
 {"name":"epoch","cat":"seqrec","ph":"E","ts":30,"pid":1,"tid":1}
 ]"#;
-        let events = parse_chrome(text).unwrap();
+        let events = read(text).unwrap().spans;
         assert_eq!(events.len(), 2);
         let p = Profile::build(&events).unwrap();
         assert_eq!(p.total_us(), 30);
@@ -659,9 +464,11 @@ mod tests {
                   \"tid\":1,\"ts_us\":5,\"path\":\"a;b\"}\n\
                   {\"ev\":\"mem_free\",\"id\":1,\"bytes\":64,\"live_bytes\":0,\
                   \"tid\":1,\"ts_us\":9}\n";
-        assert!(parse_jsonl(ok).unwrap().is_empty());
+        let trace = read(ok).unwrap();
+        assert!(trace.spans.is_empty());
+        assert_eq!(trace.mem.len(), 2);
         let bad = "{\"ev\":\"mem_alloc\",\"bytes\":64,\"ts_us\":5}\n";
-        let err = parse_jsonl(bad).unwrap_err();
+        let err = read(bad).unwrap_err();
         assert!(err.contains("line 1") && err.contains("\"id\""), "{err}");
     }
 
@@ -669,10 +476,10 @@ mod tests {
     fn malformed_skipped_lines_are_line_numbered_errors() {
         let text = "{\"ev\":\"span_begin\",\"name\":\"a\",\"tid\":1,\"ts_us\":0,\"depth\":0}\n\
                     {\"ev\":\"counter\",\"name\":\"x\",\"value\":1}\n";
-        let err = parse_jsonl(text).unwrap_err();
+        let err = read(text).unwrap_err();
         assert!(err.contains("line 2") && err.contains("ts_us"), "{err}");
         let neg = "{\"ev\":\"span_begin\",\"name\":\"a\",\"tid\":-1,\"ts_us\":0,\"depth\":0}\n";
-        let err = parse_jsonl(neg).unwrap_err();
+        let err = read(neg).unwrap_err();
         assert!(err.contains("non-negative"), "{err}");
     }
 
@@ -684,16 +491,16 @@ mod tests {
 {"name":"buf","cat":"mem","ph":"D","id":"0x1","ts":9,"pid":1,"tid":1,"args":{"bytes":64}},
 {"name":"epoch","cat":"seqrec","ph":"E","ts":30,"pid":1,"tid":1}
 ]"#;
-        let events = parse_chrome(text).unwrap();
+        let events = read(text).unwrap().spans;
         assert_eq!(events.len(), 2);
         assert_eq!(Profile::build(&events).unwrap().total_us(), 30);
     }
 
     #[test]
     fn auto_detects_format() {
-        assert!(parse_auto("[]").unwrap().is_empty());
-        assert!(parse_auto("").unwrap().is_empty());
-        assert!(parse_auto("{oops").is_err());
+        assert_eq!(read("[]").unwrap(), crate::trace::Trace::default());
+        assert_eq!(read("").unwrap(), crate::trace::Trace::default());
+        assert!(read("{oops").is_err());
     }
 
     #[test]
@@ -704,10 +511,11 @@ mod tests {
 {\"ev\":\"span_end\",\"name\":\"x\",\"tid\":1,\"ts_us\":5,\"dur_us\":2,\"depth\":0}\n\
 {\"ev\":\"request\",\"req\":1,\"user\":7,\"stage\":\"encode\",\"tid\":2,\"ts_us\":10,\"dur_us\":30}\n\
 {\"ev\":\"request\",\"req\":2,\"user\":9,\"stage\":\"enqueue\",\"tid\":1,\"ts_us\":5,\"dur_us\":20}\n";
-        // Request lines must not break the span parser...
-        assert_eq!(parse_jsonl(text).unwrap().len(), 2);
+        // Request lines do not become span events...
+        let trace = read(text).unwrap();
+        assert_eq!(trace.spans.len(), 2);
         // ...and fold into a per-stage profile.
-        let events = parse_requests_jsonl(text).unwrap();
+        let events = trace.requests;
         assert_eq!(events.len(), 3);
         let p = RequestProfile::build(&events);
         assert_eq!(p.requests(), 2);
@@ -731,7 +539,8 @@ mod tests {
 {"name":"epoch","cat":"seqrec","ph":"B","ts":0,"pid":1,"tid":1},
 {"name":"epoch","cat":"seqrec","ph":"E","ts":30,"pid":1,"tid":1}
 ]"#;
-        let events = parse_requests_chrome(text).unwrap();
+        let trace = read(text).unwrap();
+        let events = trace.requests;
         assert_eq!(
             events,
             vec![RequestEvent {
@@ -743,8 +552,7 @@ mod tests {
                 dur_us: 25,
             }]
         );
-        // The span parser still skips X events.
-        assert_eq!(parse_chrome(text).unwrap().len(), 2);
-        assert_eq!(parse_requests_auto(text).unwrap().len(), 1);
+        // X events do not become span events.
+        assert_eq!(trace.spans.len(), 2);
     }
 }

@@ -270,14 +270,6 @@ pub fn dispatch(ev: &Event<'_>) {
     });
 }
 
-/// Flushes the installed sink's buffers without uninstalling it.
-pub fn flush() {
-    let sink = sink_slot().clone();
-    if let Some(s) = sink {
-        s.flush();
-    }
-}
-
 // --- fan-out -----------------------------------------------------------------
 
 /// Forwards every event to several sinks (e.g. JSONL + Chrome trace at

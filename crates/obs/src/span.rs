@@ -4,26 +4,26 @@
 //! `Drop`, which makes nesting automatic and — because `Drop` also runs
 //! during unwinding — guarantees that every begin event gets its matching
 //! end event even when the instrumented code panics, and that the
-//! thread-local depth returns to where it was.
+//! thread-local span stack returns to where it was.
 //!
 //! When no sink is installed, entering a span is one relaxed atomic load
 //! and a branch: no clock read, no thread-local touch, no allocation.
 
 use crate::sink::{self, Event};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 thread_local! {
-    static DEPTH: Cell<u32> = const { Cell::new(0) };
-    /// Names of the live spans on this thread, outermost first. Only
-    /// maintained for live spans, so the no-sink fast path still touches
-    /// nothing. Read by the mem tracer to attribute buffer allocations.
+    /// Names of the live spans on this thread, outermost first; its length
+    /// is the nesting depth. Only maintained for live spans, so the no-sink
+    /// fast path still touches nothing. Read by the mem tracer to attribute
+    /// buffer allocations.
     static NAMES: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The calling thread's current span nesting depth (0 = outside all
 /// spans). Only maintained while a sink is installed.
 pub fn current_depth() -> u32 {
-    DEPTH.with(Cell::get)
+    NAMES.with(|names| names.borrow().len() as u32)
 }
 
 /// The calling thread's open-span path, outermost first, joined with `;`
@@ -65,12 +65,11 @@ impl SpanGuard {
 
     #[cold]
     fn enter_live(name: &'static str) -> SpanGuard {
-        let depth = DEPTH.with(|d| {
-            let v = d.get();
-            d.set(v + 1);
-            v
+        let depth = NAMES.with(|names| {
+            let mut names = names.borrow_mut();
+            names.push(name);
+            names.len() as u32 - 1
         });
-        NAMES.with(|names| names.borrow_mut().push(name));
         let start_us = sink::now_us();
         sink::dispatch(&Event::SpanBegin { name, tid: sink::tid(), ts_us: start_us, depth });
         SpanGuard { name, start_us, depth, live: true }
@@ -82,7 +81,6 @@ impl Drop for SpanGuard {
         if !self.live {
             return;
         }
-        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         NAMES.with(|names| {
             names.borrow_mut().pop();
         });

@@ -1,13 +1,15 @@
-//! Parse-back validation of the emitted trace formats.
+//! Parse-back validation of the emitted trace formats through
+//! [`seqrec_obs::trace::read`].
 //!
 //! The sink is process-global, so every test here grabs `SINK_LOCK` first;
 //! the whole file shares one test binary to avoid cross-binary races.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use seqrec_obs::json::{self, Value};
 use seqrec_obs::sink::{self, SharedBuf};
-use seqrec_obs::{ChromeTraceSink, JsonlSink};
+use seqrec_obs::trace::{self, Trace};
+use seqrec_obs::{ChromeTraceSink, Fanout, JsonlSink};
 
 static SINK_LOCK: Mutex<()> = Mutex::new(());
 
@@ -19,7 +21,7 @@ fn lock() -> MutexGuard<'static, ()> {
 /// and returns the captured text.
 fn capture_jsonl(f: impl FnOnce()) -> String {
     let buf = SharedBuf::new();
-    sink::install(std::sync::Arc::new(JsonlSink::to_writer(Box::new(buf.clone()))));
+    sink::install(Arc::new(JsonlSink::to_writer(Box::new(buf.clone()))));
     f();
     sink::uninstall();
     buf.contents()
@@ -27,7 +29,7 @@ fn capture_jsonl(f: impl FnOnce()) -> String {
 
 fn capture_chrome(f: impl FnOnce()) -> String {
     let buf = SharedBuf::new();
-    sink::install(std::sync::Arc::new(ChromeTraceSink::to_writer(Box::new(buf.clone()))));
+    sink::install(Arc::new(ChromeTraceSink::to_writer(Box::new(buf.clone()))));
     f();
     sink::uninstall();
     buf.contents()
@@ -293,8 +295,8 @@ fn chrome_trace_labels_pool_worker_lanes() {
 }
 
 /// Request lifecycle events carry the full shape on the JSONL sink —
-/// stable keys, numeric ids, stage label — and stay invisible to the span
-/// parsers (a serve trace still folds as a flame graph).
+/// stable keys, numeric ids, stage label — and never read back as spans
+/// (a serve trace still folds as a flame graph).
 #[test]
 fn request_events_have_the_documented_jsonl_shape() {
     let _g = lock();
@@ -323,13 +325,15 @@ fn request_events_have_the_documented_jsonl_shape() {
         assert_eq!(v.get("ts_us").and_then(Value::as_f64), Some(ts));
         assert_eq!(v.get("dur_us").and_then(Value::as_f64), Some(dur));
     }
-    // Span folding skips request lines instead of erroring on them.
-    assert!(seqrec_obs::profile::parse_jsonl(&text).expect("span parse").is_empty());
+    // The reader files request lines as requests, not spans.
+    let back = trace::read(&text).expect("trace reads");
+    assert!(back.spans.is_empty());
+    assert_eq!(back.requests.len(), 2);
 }
 
 /// On the Chrome sink a request stage is a complete (`X`) slice in the
 /// `serve` category, named `req.<stage>`, carrying the ids in `args` — so
-/// a trace viewer shows per-stage bars and the request parser round-trips.
+/// a trace viewer shows per-stage bars and the reader round-trips it.
 #[test]
 fn request_events_render_as_chrome_complete_slices() {
     let _g = lock();
@@ -359,18 +363,18 @@ fn request_events_render_as_chrome_complete_slices() {
     assert_eq!(args.get("req").and_then(Value::as_f64), Some(11.0));
     assert_eq!(args.get("user").and_then(Value::as_f64), Some(5.0));
 
-    let back = seqrec_obs::profile::parse_requests_chrome(&text).expect("request parse");
-    assert_eq!(back.len(), 1);
-    assert_eq!(back[0].stage, "score");
-    assert_eq!(back[0].req, 11);
-    // And the span parser sees a well-formed trace with no spans in it.
-    assert!(seqrec_obs::profile::parse_chrome(&text).expect("span parse").is_empty());
+    let back = trace::read(&text).expect("trace reads");
+    assert_eq!(back.requests.len(), 1);
+    assert_eq!(back.requests[0].stage, "score");
+    assert_eq!(back.requests[0].req, 11);
+    // And the trace holds no spans.
+    assert!(back.spans.is_empty());
 }
 
 /// Mem events on the JSONL sink carry the documented shape — numeric id,
 /// bytes, live-bytes level, timestamp, and the owning span path on the
-/// alloc — and round-trip through `memprof::parse_mem_jsonl` into a
-/// profile, while the span parser skips them.
+/// alloc — and read back through `trace::read` into a profile, separate
+/// from the span events.
 #[test]
 fn mem_events_have_the_documented_jsonl_shape_and_round_trip() {
     let _g = lock();
@@ -413,9 +417,9 @@ fn mem_events_have_the_documented_jsonl_shape_and_round_trip() {
         assert!(allocs.contains(f), "unpaired free {f:?} in {text}");
     }
 
-    let events = seqrec_obs::memprof::parse_mem_jsonl(&text).expect("mem parse");
-    assert_eq!(events.len(), 4);
-    let profile = seqrec_obs::memprof::MemProfile::build(&events).expect("profile builds");
+    let back = trace::read(&text).expect("trace reads");
+    assert_eq!(back.mem.len(), 4);
+    let profile = seqrec_obs::memprof::MemProfile::build(&back.mem).expect("profile builds");
     assert_eq!(profile.allocs, 2);
     assert_eq!(profile.frees, 2);
     assert_eq!(profile.observed_peak_bytes, 4096 + 1024);
@@ -425,15 +429,14 @@ fn mem_events_have_the_documented_jsonl_shape_and_round_trip() {
     let attributed: u64 = profile.peak_by_path.iter().map(|s| s.bytes).sum();
     assert_eq!(attributed, profile.observed_peak_bytes);
     assert_eq!(profile.peak_by_path[0].key, "epoch");
-    // The span parser sees the same trace and folds only the span events.
-    let spans = seqrec_obs::profile::parse_jsonl(&text).expect("span parse");
-    assert_eq!(spans.len(), 2, "span begin+end, mem lines skipped");
+    // The same read holds the span events apart from the mem lines.
+    assert_eq!(back.spans.len(), 2, "span begin+end, mem lines apart");
 }
 
 /// On the Chrome sink an allocation is an object-created (`N`) event and
 /// its free an object-destroyed (`D`) event in the `mem` category with a
 /// hex id, each followed by a `tensor.live_bytes` counter sample — and the
-/// pair round-trips through `memprof::parse_mem_chrome`.
+/// pair round-trips through `trace::read`.
 #[test]
 fn mem_events_render_as_chrome_object_events() {
     let _g = lock();
@@ -477,15 +480,15 @@ fn mem_events_render_as_chrome_object_events() {
         "missing live-bytes counter samples in {text}"
     );
 
-    let back = seqrec_obs::memprof::parse_mem_chrome(&text).expect("mem parse");
+    let trace = trace::read(&text).expect("trace reads");
+    let back = &trace.mem;
     assert_eq!(back.len(), 2);
     assert!(back[0].alloc && !back[1].alloc);
     assert_eq!(back[0].id, back[1].id);
     assert_eq!(back[0].bytes, 2048);
     assert_eq!(back[0].path.as_deref(), Some("forward"));
-    // The span parser tolerates the full mixed trace.
-    let spans = seqrec_obs::profile::parse_chrome(&text).expect("span parse");
-    assert_eq!(spans.len(), 2);
+    // The spans of the full mixed trace read back too.
+    assert_eq!(trace.spans.len(), 2);
 }
 
 /// The per-thread sink cache in `sink::dispatch` invalidates on
@@ -496,12 +499,53 @@ fn reinstalling_a_sink_reaches_threads_with_a_warm_cache() {
     let _g = lock();
     let buf_a = SharedBuf::new();
     let buf_b = SharedBuf::new();
-    sink::install(std::sync::Arc::new(JsonlSink::to_writer(Box::new(buf_a.clone()))));
+    sink::install(Arc::new(JsonlSink::to_writer(Box::new(buf_a.clone()))));
     seqrec_obs::info!("first"); // warms this thread's cache on sink A
-    sink::install(std::sync::Arc::new(JsonlSink::to_writer(Box::new(buf_b.clone()))));
+    sink::install(Arc::new(JsonlSink::to_writer(Box::new(buf_b.clone()))));
     seqrec_obs::info!("second"); // generation moved: must land in sink B
     sink::uninstall();
     let (a, b) = (buf_a.contents(), buf_b.contents());
     assert!(a.contains("first") && !a.contains("second"), "stale cache hit sink A: {a}");
     assert!(b.contains("second") && !b.contains("first"), "sink B missed the event: {b}");
+}
+
+/// One run recorded through both sinks at once reads back as the same
+/// spans, requests and mem events from either format. The one difference
+/// is the live-bytes level, which Chrome object events do not carry.
+#[test]
+fn both_formats_of_one_run_read_back_the_same_events() {
+    let _g = lock();
+    let (jsonl, chrome) = (SharedBuf::new(), SharedBuf::new());
+    sink::install(Arc::new(Fanout::new(vec![
+        Arc::new(JsonlSink::to_writer(Box::new(jsonl.clone()))),
+        Arc::new(ChromeTraceSink::to_writer(Box::new(chrome.clone()))),
+    ])));
+    seqrec_obs::mem::set_sink_mode(Some(1));
+    {
+        let _epoch = seqrec_obs::span!("epoch");
+        let _batch = seqrec_obs::span!("batch");
+        let id = seqrec_obs::mem::on_alloc(512);
+        let ts_us = sink::now_us();
+        sink::dispatch(&seqrec_obs::Event::Request {
+            req: 3,
+            user: 8,
+            stage: "score",
+            tid: sink::tid(),
+            ts_us,
+            dur_us: 17,
+        });
+        seqrec_obs::mem::on_free(id, 512);
+    }
+    seqrec_obs::mem::set_sink_mode(None);
+    sink::uninstall();
+
+    let mut from_jsonl = trace::read(&jsonl.contents()).expect("JSONL reads");
+    let from_chrome = trace::read(&chrome.contents()).expect("Chrome reads");
+    let sizes = |t: &Trace| (t.spans.len(), t.requests.len(), t.mem.len());
+    assert_eq!(sizes(&from_jsonl), (4, 1, 2));
+    assert!(from_jsonl.mem.iter().all(|m| m.live_bytes.is_some()));
+    for m in &mut from_jsonl.mem {
+        m.live_bytes = None;
+    }
+    assert_eq!(from_jsonl, from_chrome);
 }

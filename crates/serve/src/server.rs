@@ -23,10 +23,10 @@
 //! emitted per request as [`seqrec_obs::Event::Request`] events when a
 //! sink is installed (JSONL lines, Chrome `X` slices; `seqrec-prof` folds
 //! them into a per-stage profile). Independent of any sink, the worker
-//! feeds the always-on serve instruments: queue-depth and batch-occupancy
-//! histograms (cumulative + rolling-window), the queue and in-flight
-//! gauges, and the client handle records client-observed latency into
-//! `SERVE_LATENCY_US`(`_WINDOW`).
+//! feeds the always-on serve instruments: the queue-depth and
+//! batch-occupancy histograms (each with a rolling-window view), the queue
+//! and in-flight gauges, and the client handle records client-observed
+//! latency into `SERVE_LATENCY_US`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
@@ -97,7 +97,6 @@ impl ServeClient {
         let out = reply_rx.recv().ok();
         let latency_us = sink::now_us().saturating_sub(enqueued_us);
         metrics::SERVE_LATENCY_US.record(latency_us);
-        metrics::SERVE_LATENCY_US_WINDOW.record(latency_us);
         out
     }
 }
@@ -177,12 +176,8 @@ fn worker_loop<M: StatefulScorer>(
         // Depth of the backlog left behind once this batch is closed, and
         // how full the batch ran — the two signals that tell an operator
         // whether the window or the model is the bottleneck.
-        let backlog = metrics::SERVE_QUEUE.get().max(0) as u64;
-        metrics::SERVE_QUEUE_DEPTH.record(backlog);
-        metrics::SERVE_QUEUE_DEPTH_WINDOW.record(backlog);
-        let occupancy_pct = (batch.len() * 100 / cfg.max_batch) as u64;
-        metrics::SERVE_BATCH_OCCUPANCY_PCT.record(occupancy_pct);
-        metrics::SERVE_BATCH_OCCUPANCY_PCT_WINDOW.record(occupancy_pct);
+        metrics::SERVE_QUEUE_DEPTH.record(metrics::SERVE_QUEUE.get().max(0) as u64);
+        metrics::SERVE_BATCH_OCCUPANCY_PCT.record((batch.len() * 100 / cfg.max_batch) as u64);
 
         let t_exec = sink::now_us();
         let started = Instant::now();

@@ -69,11 +69,8 @@ impl<M: StatefulScorer> ScoringService<M> {
                 None => miss_rows.push(i),
             }
         }
-        let hits = (users.len() - miss_rows.len()) as u64;
-        metrics::SERVE_CACHE_HITS.add(hits);
+        metrics::SERVE_CACHE_HITS.add((users.len() - miss_rows.len()) as u64);
         metrics::SERVE_CACHE_MISSES.add(miss_rows.len() as u64);
-        metrics::SERVE_CACHE_HITS_WINDOW.add(hits);
-        metrics::SERVE_CACHE_MISSES_WINDOW.add(miss_rows.len() as u64);
         if !miss_rows.is_empty() {
             let miss_users: Vec<usize> = miss_rows.iter().map(|&i| users[i]).collect();
             let miss_hists: Vec<&[u32]> = miss_rows.iter().map(|&i| histories[i]).collect();

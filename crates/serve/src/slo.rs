@@ -61,19 +61,6 @@ pub struct SloReport {
     pub ok: bool,
 }
 
-impl SloReport {
-    /// The verdict as a bench-report field: 1.0 when met, 0.0 when
-    /// burning. Numeric (not boolean) so the hand-rolled bench-diff JSON
-    /// reader can gate on it.
-    pub fn ok_as_f64(&self) -> f64 {
-        if self.ok {
-            1.0
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Evaluates `policy` against an explicit latency distribution — the pure
 /// core of [`evaluate`], also used on cumulative histograms and in tests.
 /// `errors` is the error count accumulated over the same span.
@@ -124,7 +111,7 @@ pub fn evaluate_window(window: &WindowSnapshot, errors: u64, policy: &SloPolicy)
 /// Evaluates `policy` against the live serve-latency rolling window and
 /// the current error counter — the "is the SLO burning *right now*" read.
 pub fn evaluate(policy: &SloPolicy) -> SloReport {
-    let window = metrics::SERVE_LATENCY_US_WINDOW.window_snapshot();
+    let window = metrics::SERVE_LATENCY_US.window_snapshot();
     evaluate_window(&window, metrics::SERVE_ERRORS.get(), policy)
 }
 
@@ -162,7 +149,6 @@ mod tests {
         assert_eq!(report.breaches, 100);
         assert!(report.burn_rate > 1.0);
         assert!(!report.ok);
-        assert_eq!(report.ok_as_f64(), 0.0);
     }
 
     #[test]
@@ -186,20 +172,19 @@ mod tests {
         let report = evaluate_counts(BOUNDS, &[0; 4], 0, 0, &SloPolicy::default());
         assert_eq!(report.total, 0);
         assert!(report.ok);
-        assert_eq!(report.ok_as_f64(), 1.0);
     }
 
     #[test]
     fn live_evaluation_reads_the_rolling_window() {
-        metrics::SERVE_LATENCY_US_WINDOW.reset();
+        metrics::SERVE_LATENCY_US.reset();
         for _ in 0..99 {
-            metrics::SERVE_LATENCY_US_WINDOW.record(400);
+            metrics::SERVE_LATENCY_US.record(400);
         }
-        metrics::SERVE_LATENCY_US_WINDOW.record(3_000_000);
+        metrics::SERVE_LATENCY_US.record(3_000_000);
         let report = evaluate(&SloPolicy { target_us: 20_000, budget: 0.02, error_budget: 1.0 });
         assert_eq!(report.total, 100);
         assert_eq!(report.breaches, 1);
         assert!(report.ok, "1% breaches inside a 2% budget: {report:?}");
-        metrics::SERVE_LATENCY_US_WINDOW.reset();
+        metrics::SERVE_LATENCY_US.reset();
     }
 }

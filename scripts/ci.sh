@@ -130,6 +130,16 @@ PROF_OUT="$(cargo run --offline --release -p seqrec-obs --bin seqrec-prof -- "$S
 echo "$PROF_OUT" | grep -q "bytes at peak by span path" || { echo "missing peak breakdown"; exit 1; }
 echo "$PROF_OUT" | grep -q "what-if arena" || { echo "missing what-if report"; exit 1; }
 echo "$PROF_OUT" | head -3
+
+# The span view folds strictly: an unpaired end, a nesting mismatch or a
+# span still open at the end of the trace fails the run.
+echo "== seqrec-prof span view on the smoke trace (strict span fold + folded stacks)"
+SMOKE_FOLDED="target/ci_smoke_folded_t${SMOKE_THREADS}.txt"
+rm -f "$SMOKE_FOLDED"
+PROF_OUT="$(cargo run --offline --release -p seqrec-obs --bin seqrec-prof -- "$SMOKE_JSONL" --top 5 --folded "$SMOKE_FOLDED")"
+echo "$PROF_OUT" | grep -q "== span hierarchy ==" || { echo "missing span hierarchy"; exit 1; }
+[ -s "$SMOKE_FOLDED" ] || { echo "empty folded stacks in $SMOKE_FOLDED"; exit 1; }
+echo "$PROF_OUT" | head -1
 done
 
 echo "== run-ledger validation"

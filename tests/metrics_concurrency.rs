@@ -13,18 +13,20 @@
 //!
 //! Each test uses its own static instruments (the registry's instruments
 //! are process-global and other tests in this binary may touch them).
+//! `WINDOWED` records each sample into its cumulative and rolling views in
+//! one call, so its two views race the reader together.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use proptest::prelude::*;
-use seqrec_obs::metrics::{self, Counter, Gauge, Histogram, WindowedHistogram};
+use seqrec_obs::metrics::{self, Counter, Gauge, WindowedHistogram};
 
 const BOUNDS: &[u64] = &[4, 16, 64, 256, 1024];
 
-static HIST: Histogram = Histogram::new("test.concurrency.hist", BOUNDS);
+static WINDOWED: WindowedHistogram =
+    WindowedHistogram::new("test.concurrency.hist", "test.concurrency.window", BOUNDS);
 static COUNTER: Counter = Counter::new("test.concurrency.counter");
 static GAUGE: Gauge = Gauge::new("test.concurrency.gauge");
-static WINDOWED: WindowedHistogram = WindowedHistogram::new("test.concurrency.window", BOUNDS);
 
 /// Deterministic per-writer value stream (splitmix64).
 fn values(seed: u64, n: usize) -> Vec<u64> {
@@ -64,7 +66,6 @@ fn hammer(
                     for stream in streams {
                         s.spawn(move |_| {
                             for &v in stream {
-                                HIST.record(v);
                                 WINDOWED.record(v);
                                 COUNTER.add(1);
                                 GAUGE.add(1);
@@ -105,17 +106,17 @@ proptest! {
         // One epoch outlives the test: window reads get the same strict
         // invariant as cumulative ones (no slot rotates mid-assert).
         metrics::set_window_secs(1e6);
-        HIST.reset();
         WINDOWED.reset();
         COUNTER.reset();
         GAUGE.reset();
+        let hist = WINDOWED.cumulative();
 
         let mut last_total = 0u64;
         let mut last_counter = 0u64;
         let recorded = hammer(writers, per_writer, seed, || {
-            let counts = HIST.counts();
-            let overflow = HIST.overflow();
-            let total = HIST.total();
+            let counts = hist.counts();
+            let overflow = hist.overflow();
+            let total = hist.total();
             let seen: u64 = counts.iter().sum::<u64>() + overflow;
             prop_assert!(seen <= total, "torn snapshot: buckets {seen} > total {total}");
             prop_assert!(total >= last_total, "total went backwards: {total} < {last_total}");
@@ -133,9 +134,9 @@ proptest! {
 
         // Quiescent equality: nothing was lost or double-counted.
         let n = recorded.len() as u64;
-        prop_assert_eq!(HIST.total(), n);
-        prop_assert_eq!(HIST.counts().iter().sum::<u64>() + HIST.overflow(), n);
-        prop_assert_eq!(HIST.sum(), recorded.iter().sum::<u64>());
+        prop_assert_eq!(hist.total(), n);
+        prop_assert_eq!(hist.counts().iter().sum::<u64>() + hist.overflow(), n);
+        prop_assert_eq!(hist.sum(), recorded.iter().sum::<u64>());
         prop_assert_eq!(COUNTER.get(), n);
         let w = WINDOWED.window_snapshot();
         prop_assert_eq!(w.total, n, "window lost samples despite the huge epoch");

@@ -178,8 +178,9 @@ fn profiler_folds_a_two_stage_trace_and_exclusive_times_sum_to_wall_clock() {
     model.fit(&split, &augs, &pre, &fine);
     sink::uninstall();
 
-    let events = seqrec_obs::profile::parse_auto(&buf.contents())
-        .unwrap_or_else(|e| panic!("trace did not parse: {e}"));
+    let events = seqrec_obs::trace::read(&buf.contents())
+        .unwrap_or_else(|e| panic!("trace did not parse: {e}"))
+        .spans;
     let profile = seqrec_obs::profile::Profile::build(&events)
         .unwrap_or_else(|e| panic!("trace did not fold: {e}"));
 
@@ -236,8 +237,9 @@ fn fit_joint_runs_both_encoder_passes_under_forward_spans() {
     model.fit_joint(&split, &augs, 0.1, &opts);
     sink::uninstall();
 
-    let events = seqrec_obs::profile::parse_auto(&buf.contents())
-        .unwrap_or_else(|e| panic!("trace did not parse: {e}"));
+    let events = seqrec_obs::trace::read(&buf.contents())
+        .unwrap_or_else(|e| panic!("trace did not parse: {e}"))
+        .spans;
     let profile = Profile::build(&events).unwrap_or_else(|e| panic!("trace did not fold: {e}"));
     let nodes = profile.nodes();
     let child = |parent: usize, name: &str| {

@@ -11,9 +11,9 @@ use std::time::Instant;
 use cp4rec_repro::data::synthetic::{generate_dataset, SyntheticConfig};
 use cp4rec_repro::data::Split;
 use cp4rec_repro::models::{EncoderConfig, SasRec};
-use seqrec_obs::profile::{parse_auto, parse_requests_auto, RequestProfile};
+use seqrec_obs::profile::RequestProfile;
 use seqrec_obs::sink::{self, SharedBuf};
-use seqrec_obs::{metrics, JsonlSink};
+use seqrec_obs::{metrics, trace, JsonlSink};
 use seqrec_serve::{expo, slo, BatchingServer, ExpoServer, ServerConfig, SloPolicy};
 
 static SINK_LOCK: Mutex<()> = Mutex::new(());
@@ -63,7 +63,8 @@ fn request_traces_reconstruct_client_observed_latency() {
     sink::uninstall();
     let text = buf.contents();
 
-    let events = parse_requests_auto(&text).expect("request events parse");
+    let trace = trace::read(&text).expect("trace reads");
+    let events = trace.requests;
     assert_eq!(events.len(), 20 * STAGES.len(), "six stages per request");
 
     // Group by request id and check each trace tiles exactly.
@@ -100,9 +101,9 @@ fn request_traces_reconstruct_client_observed_latency() {
         );
     }
 
-    // The same trace still folds as a span stream (request events are
-    // transparent to the span parsers) and as a per-stage profile.
-    assert!(parse_auto(&text).expect("span parse").is_empty());
+    // Request events do not become span events, and they fold into a
+    // per-stage profile.
+    assert!(trace.spans.is_empty());
     let profile = RequestProfile::build(&events);
     assert_eq!(profile.requests(), 20);
     assert_eq!(profile.stages().len(), STAGES.len());
@@ -120,8 +121,6 @@ fn live_scrape_mid_serve_is_well_formed_and_current() {
     let _g = lock();
     let (split, n) = setup();
     metrics::reset_all();
-    metrics::SERVE_LATENCY_US_WINDOW.reset();
-    metrics::SERVE_QUEUE_DEPTH_WINDOW.reset();
     let server = spawn_server(n);
     let expo_server = ExpoServer::bind("127.0.0.1:0").expect("bind loopback");
 
