@@ -1,5 +1,11 @@
 //! Cost of the Transformer encoder: forward only (inference/scoring) vs
 //! forward + backward (one training step) at the paper's sequence length.
+//!
+//! Both arms time `user_repr`, the path CL4SRec pre-training, evaluation
+//! and serving take: all blocks but the last run over every position, and
+//! the final block runs its queries, attention row, output projection,
+//! LayerNorms and FFN at position `T-1` only. Its keys and values still
+//! cover all `T` positions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seqrec_data::batch::pad_left;

@@ -167,8 +167,7 @@ impl StatefulScorer for Bert4Rec {
         }
         let mut step = Step::new();
         let mut r = rng(0);
-        let hidden = self.encoder.encode_bidirectional(&mut step, &ids, &valid, false, &mut r);
-        let repr = step.tape.last_time(hidden);
+        let repr = self.encoder.user_repr_bidirectional(&mut step, &ids, &valid, false, &mut r);
         step.tape.value(repr).data().to_vec()
     }
     fn score_states(&self, states: &[f32]) -> Vec<Vec<f32>> {

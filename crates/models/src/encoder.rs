@@ -13,7 +13,7 @@
 use seqrec_tensor::init::TensorRng;
 use seqrec_tensor::nn::{Embedding, HasParams, LayerNorm, Linear, Param, Step};
 use seqrec_tensor::ops::{causal_padding_mask, padding_mask};
-use seqrec_tensor::{init, Var};
+use seqrec_tensor::{init, Tensor, Var};
 use serde::{Deserialize, Serialize};
 
 /// Transformer encoder hyper-parameters.
@@ -158,7 +158,8 @@ impl TransformerEncoder {
         training: bool,
         rng: &mut TensorRng,
     ) -> Var {
-        self.encode_inner(step, ids, valid, true, training, rng)
+        let mask = causal_padding_mask(valid, self.cfg.max_len);
+        self.encode_inner(step, ids, &mask, false, training, rng)
     }
 
     /// Encodes with **bidirectional** attention (padding mask only) — the
@@ -171,19 +172,60 @@ impl TransformerEncoder {
         training: bool,
         rng: &mut TensorRng,
     ) -> Var {
-        self.encode_inner(step, ids, valid, false, training, rng)
+        let mask = padding_mask(valid, self.cfg.max_len);
+        self.encode_inner(step, ids, &mask, false, training, rng)
     }
 
-    fn encode_inner(
+    /// The user representation: the hidden state at the final (most recent)
+    /// position of each sequence (Eq. 13). Returns `[B, d]`.
+    ///
+    /// Only that position is read, so the final block runs its queries,
+    /// attention row, output projection, LayerNorms and FFN for position
+    /// `T-1` alone; its keys and values still cover every position. In eval
+    /// mode the result is bit-identical to `last_time(encode(..))`: every op
+    /// is per row, and the GEMM dispatch never reads the row count. In
+    /// training mode dropout draws masks for the kept rows only.
+    pub fn user_repr(
         &self,
         step: &mut Step,
         ids: &[u32],
         valid: &[Vec<bool>],
-        causal: bool,
         training: bool,
         rng: &mut TensorRng,
     ) -> Var {
-        let (b, t, d, h) = (valid.len(), self.cfg.max_len, self.cfg.d, self.cfg.heads);
+        let mask = causal_padding_mask(valid, self.cfg.max_len);
+        self.encode_inner(step, ids, &mask, true, training, rng)
+    }
+
+    /// The bidirectional twin of [`Self::user_repr`]: the final position of
+    /// [`Self::encode_bidirectional`], `[B, d]` (BERT4Rec inference, which
+    /// appends the prediction `[mask]` there).
+    pub(crate) fn user_repr_bidirectional(
+        &self,
+        step: &mut Step,
+        ids: &[u32],
+        valid: &[Vec<bool>],
+        training: bool,
+        rng: &mut TensorRng,
+    ) -> Var {
+        let mask = padding_mask(valid, self.cfg.max_len);
+        self.encode_inner(step, ids, &mask, true, training, rng)
+    }
+
+    /// Runs the embedding layer and every block under the additive
+    /// attention `mask` (`[B, T, T]`). Returns `[B, T, d]`, or `[B, d]` when
+    /// `last_only`: the final block then takes its query rows from position
+    /// `T-1` only.
+    fn encode_inner(
+        &self,
+        step: &mut Step,
+        ids: &[u32],
+        mask: &Tensor,
+        last_only: bool,
+        training: bool,
+        rng: &mut TensorRng,
+    ) -> Var {
+        let (b, t, d, h) = (mask.shape().dim(0), self.cfg.max_len, self.cfg.d, self.cfg.heads);
         assert_eq!(ids.len(), b * t, "ids must be [B*T] = [{b}*{t}]");
         let p = self.cfg.dropout;
 
@@ -194,12 +236,21 @@ impl TransformerEncoder {
         x = step.tape.add_broadcast_batch(x, pos);
         x = step.tape.dropout(x, p, training, rng);
 
-        // Attention mask, shared by all layers.
-        let mask = if causal { causal_padding_mask(valid, t) } else { padding_mask(valid, t) };
+        let final_block = self.blocks.len() - 1;
+        let last_row_mask = last_only.then(|| last_query_row(mask));
+        for (l, block) in self.blocks.iter().enumerate() {
+            // Query rows: every position, or `[B, 1, d]` at `T-1` in the final
+            // block of a `last_only` pass. Keys and values cover all of `x`.
+            let (xq, qmask) = match &last_row_mask {
+                Some(row) if l == final_block => {
+                    let xt = step.tape.select_time(x, t - 1);
+                    (step.tape.reshape(xt, [b, 1, d]), row)
+                }
+                _ => (x, mask),
+            };
 
-        for block in &self.blocks {
             // Multi-head self-attention (Eq. 9-10).
-            let q = block.wq.forward(step, x);
+            let q = block.wq.forward(step, xq);
             let k = block.wk.forward(step, x);
             let v = block.wv.forward(step, x);
             let qh = step.tape.split_heads(q, h);
@@ -207,7 +258,7 @@ impl TransformerEncoder {
             let vh = step.tape.split_heads(v, h);
             let scores = step.tape.bmm_nt(qh, kh);
             let scaled = step.tape.scale(scores, 1.0 / ((d / h) as f32).sqrt());
-            let masked = step.tape.add_attn_mask(scaled, &mask, h);
+            let masked = step.tape.add_attn_mask(scaled, qmask, h);
             let probs = step.tape.softmax(masked);
             let probs = step.tape.dropout(probs, p, training, rng);
             let ctx = step.tape.bmm(probs, vh);
@@ -216,7 +267,7 @@ impl TransformerEncoder {
 
             // Residual + dropout + LayerNorm (Eq. 12).
             let mh_dropped = step.tape.dropout(mh, p, training, rng);
-            let res1 = step.tape.add(x, mh_dropped);
+            let res1 = step.tape.add(xq, mh_dropped);
             let f = block.ln_attn.forward(step, res1);
 
             // Position-wise FFN (Eq. 11).
@@ -228,22 +279,19 @@ impl TransformerEncoder {
             let res2 = step.tape.add(f, h2_dropped);
             x = block.ln_ffn.forward(step, res2);
         }
-        x
+        if last_only {
+            step.tape.reshape(x, [b, d])
+        } else {
+            x
+        }
     }
+}
 
-    /// The user representation: the hidden state at the final (most recent)
-    /// position of each sequence (Eq. 13). Returns `[B, d]`.
-    pub fn user_repr(
-        &self,
-        step: &mut Step,
-        ids: &[u32],
-        valid: &[Vec<bool>],
-        training: bool,
-        rng: &mut TensorRng,
-    ) -> Var {
-        let hidden = self.encode(step, ids, valid, training, rng);
-        step.tape.last_time(hidden)
-    }
+/// The final query row of an attention mask: `[B, T, T] -> [B, 1, T]`.
+fn last_query_row(mask: &Tensor) -> Tensor {
+    let (b, t) = (mask.shape().dim(0), mask.shape().dim(2));
+    let data = mask.data().chunks(t * t).flat_map(|m| &m[(t - 1) * t..]).copied().collect();
+    Tensor::from_vec([b, 1, t], data)
 }
 
 impl HasParams for TransformerEncoder {
@@ -267,7 +315,7 @@ impl HasParams for TransformerEncoder {
 mod tests {
     use super::*;
     use seqrec_data::batch::pad_left;
-    use seqrec_tensor::init::rng;
+    use seqrec_tensor::init::{rng, uniform};
 
     fn tiny() -> EncoderConfig {
         EncoderConfig { num_items: 20, d: 8, heads: 2, layers: 2, max_len: 6, dropout: 0.1 }
@@ -371,6 +419,89 @@ mod tests {
             }
         });
         assert!(missing.is_empty(), "no gradient for {missing:?}");
+    }
+
+    /// An empty history, one item, exactly `t` items and more than `t`.
+    fn edge_batch(t: usize) -> (Vec<u32>, Vec<Vec<bool>>) {
+        let seq = |n: usize| -> Vec<u32> { (0..n as u32).map(|i| i * 7 % 20 + 1).collect() };
+        let seqs = [seq(0), seq(1), seq(t), seq(t + 3)];
+        let refs: Vec<&[u32]> = seqs.iter().map(Vec::as_slice).collect();
+        batch_of(&refs, t)
+    }
+
+    type Pass =
+        fn(&TransformerEncoder, &mut Step, &[u32], &[Vec<bool>], bool, &mut TensorRng) -> Var;
+
+    #[test]
+    fn user_repr_is_the_last_row_of_the_full_encode_bit_for_bit() {
+        // (8, 6) runs the direct GEMM kernels, (64, 50) the packed engine.
+        for (d, t) in [(8, 6), (64, 50)] {
+            let cfg = EncoderConfig { d, max_len: t, ..tiny() };
+            let enc = TransformerEncoder::new(cfg, &mut rng(77));
+            let (ids, valid) = edge_batch(t);
+            let bits = |pass: Pass, full: bool| -> Vec<u32> {
+                let mut step = Step::new();
+                let mut out = pass(&enc, &mut step, &ids, &valid, false, &mut rng(0));
+                if full {
+                    out = step.tape.last_time(out);
+                }
+                step.tape.value(out).data().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(
+                bits(TransformerEncoder::user_repr, false),
+                bits(TransformerEncoder::encode, true),
+                "causal user_repr differs from last_time(encode) at d={d}, T={t}"
+            );
+            assert_eq!(
+                bits(TransformerEncoder::user_repr_bidirectional, false),
+                bits(TransformerEncoder::encode_bidirectional, true),
+                "bidirectional user_repr differs from last_time(encode_bidirectional) at d={d}, T={t}"
+            );
+        }
+    }
+
+    #[test]
+    fn user_repr_training_gradients_match_the_full_encode() {
+        // Dropout 0 keeps training mode deterministic; two layers send the
+        // final block's K/V gradient back into every position of block 0.
+        // Parameters are drawn at O(1) scale, as the whole-model gradchecks
+        // do, so the gradients are O(1) too.
+        let mut enc =
+            TransformerEncoder::new(EncoderConfig { dropout: 0.0, ..tiny() }, &mut rng(78));
+        let mut r = rng(79);
+        enc.visit_mut(&mut |p| {
+            let shape = p.value().shape().clone();
+            *p.value_mut() = uniform(shape, -0.5, 0.5, &mut r);
+        });
+        let (ids, valid) = edge_batch(6);
+        let run = |pass: Pass, full: bool| {
+            let mut step = Step::new();
+            let mut repr = pass(&enc, &mut step, &ids, &valid, true, &mut rng(0));
+            if full {
+                repr = step.tape.last_time(repr);
+            }
+            let sq = step.tape.mul(repr, repr);
+            let loss = step.tape.sum_all(sq);
+            let value = step.tape.value(loss).item();
+            let grads = step.tape.backward(loss);
+            let mut per_param = Vec::new();
+            enc.visit(&mut |p| {
+                let g =
+                    p.grad(&step, &grads).unwrap_or_else(|| panic!("no gradient for {}", p.name()));
+                per_param.push((p.name().to_string(), g.clone()));
+            });
+            (value, per_param)
+        };
+        // Relative error as in `seqrec_tensor::gradcheck`: |a-b| / max(|a|, |b|, 1).
+        let rel = |a: f32, b: f32| (a - b).abs() / a.abs().max(b.abs()).max(1.0);
+        let (loss, grads) = run(TransformerEncoder::user_repr, false);
+        let (want_loss, want_grads) = run(TransformerEncoder::encode, true);
+        assert!(rel(loss, want_loss) <= 1e-5, "loss {loss} vs {want_loss}");
+        assert_eq!(grads.len(), want_grads.len());
+        for ((name, g), (_, want)) in grads.iter().zip(&want_grads) {
+            let err = g.data().iter().zip(want.data()).fold(0.0f32, |m, (&a, &b)| m.max(rel(a, b)));
+            assert!(err <= 1e-5, "{name}: gradient relative error {err}");
+        }
     }
 
     #[test]

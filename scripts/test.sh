@@ -20,5 +20,15 @@ if ! grep -qs '^\[workspace\]' Cargo.toml; then
     exit 2
 fi
 
+# The gate compares against the committed golden fixtures; with
+# GOLDEN_REGEN set (to any value) it would rewrite them instead and pass.
+if [[ -n "${GOLDEN_REGEN+set}" ]]; then
+    echo "scripts/test.sh: GOLDEN_REGEN is set (to '${GOLDEN_REGEN}');" >&2
+    echo "  the gate checks the committed fixtures and never regenerates them." >&2
+    echo "  Unset it, or regenerate on purpose with" >&2
+    echo "  GOLDEN_REGEN=1 cargo test --test golden_training" >&2
+    exit 2
+fi
+
 cargo build --release --workspace
 cargo test --workspace -q "$@"

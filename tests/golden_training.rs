@@ -17,7 +17,8 @@
 //! GOLDEN_REGEN=1 cargo test --test golden_training
 //! ```
 //!
-//! then review the fixture diff like any other code change (see TESTING.md).
+//! (exactly `1`: any other value fails the run), then review the fixture
+//! diff like any other code change (see TESTING.md).
 
 use seqrec_conformance::golden::{
     run_cl4srec_golden, run_sasrec_golden, GoldenRecord, FIT_GOLDENS,
@@ -57,6 +58,20 @@ fn explain_diff(got: &GoldenRecord, want: &GoldenRecord) -> String {
     format!("parameter count changed: {} vs fixture {}", got.params.len(), want.params.len())
 }
 
+/// `GOLDEN_REGEN=1` rewrites the fixtures; unset compares against them.
+/// Any other value (`0`, empty, `true`, …) fails instead of guessing, so a
+/// stray setting can never silently rewrite every fixture.
+fn regen_requested() -> bool {
+    match std::env::var_os("GOLDEN_REGEN") {
+        None => false,
+        Some(v) if v == "1" => true,
+        Some(v) => panic!(
+            "GOLDEN_REGEN={v:?} is not recognised: set GOLDEN_REGEN=1 to regenerate \
+             the fixtures, or unset it to check them"
+        ),
+    }
+}
+
 fn check_golden(name: &str, run: impl Fn() -> GoldenRecord) {
     let rec = run();
     let again = run();
@@ -69,7 +84,7 @@ fn check_golden(name: &str, run: impl Fn() -> GoldenRecord) {
     );
 
     let path = fixture_path(name);
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
+    if regen_requested() {
         std::fs::write(&path, rec.to_text())
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         eprintln!("regenerated {}", path.display());
