@@ -10,8 +10,8 @@
 //! The [`FIT_GOLDENS`] scenarios go one level up: each calls a model's
 //! public fit entry point for [`FIT_GOLDEN_EPOCHS`] epochs on a tiny split
 //! (dropout on, validation probe on) and records the per-epoch mean loss,
-//! so they pin the fit loops themselves — shuffling, sampling, RNG order,
-//! tail handling and the data-parallel shard paths.
+//! so they pin the fit loops themselves — shuffling, sampling, RNG order
+//! and tail handling.
 //!
 //! Fixtures are plain text (one token pair per line) so regenerating them
 //! produces reviewable diffs:
@@ -166,9 +166,9 @@ pub const FIT_GOLDEN_EPOCHS: usize = 3;
 /// The split every fit-level scenario trains on: ten users over a catalog
 /// of 10. Users 0–8 keep 3–6 training items; user 9 keeps one, so the
 /// loops that need an (input, target) pair drop it and the others train on
-/// it. With batch size 4 the epochs split 4/4/1 or 4/4/2 users — a
-/// singleton tail the contrastive loops skip and a tail the data-parallel
-/// paths run serially.
+/// it. With batch size 4 the epochs split 4/4/1 or 4/4/2 users, so every
+/// loop also meets a short tail, and the contrastive loops skip the
+/// singleton one.
 pub fn fit_golden_split() -> Split {
     let seqs = (0..10usize)
         .map(|u| {
@@ -179,7 +179,7 @@ pub fn fit_golden_split() -> Split {
     Split::leave_one_out(&Dataset::new(seqs, 10))
 }
 
-fn fit_golden_options(data_parallel: usize) -> TrainOptions {
+fn fit_golden_options() -> TrainOptions {
     TrainOptions {
         epochs: FIT_GOLDEN_EPOCHS,
         batch_size: 4,
@@ -187,19 +187,17 @@ fn fit_golden_options(data_parallel: usize) -> TrainOptions {
         seed: 5,
         patience: Some(2),
         valid_probe_users: 6,
-        data_parallel,
         ..TrainOptions::default()
     }
 }
 
-fn pretrain_golden_options(data_parallel: usize) -> PretrainOptions {
+fn pretrain_golden_options() -> PretrainOptions {
     PretrainOptions {
         epochs: FIT_GOLDEN_EPOCHS,
         batch_size: 4,
         lr: 1e-2,
         seed: 5,
         patience: Some(2),
-        data_parallel,
         ..PretrainOptions::default()
     }
 }
@@ -220,45 +218,27 @@ fn golden_cl4srec() -> (Cl4sRec, AugmentationSet) {
     (model, augs)
 }
 
-fn fit_sasrec(data_parallel: usize) -> GoldenRecord {
-    let mut model = SasRec::new(golden_encoder_config(), 7);
-    let report = model.fit(&fit_golden_split(), &fit_golden_options(data_parallel));
-    fit_record(&report, &model)
-}
-
-fn pretrain(data_parallel: usize) -> GoldenRecord {
-    let (mut model, augs) = golden_cl4srec();
-    let report =
-        model.pretrain(&fit_golden_split(), &augs, &pretrain_golden_options(data_parallel));
-    pretrain_record(&report, &model)
-}
-
-fn fit_joint(data_parallel: usize) -> GoldenRecord {
-    let (mut model, augs) = golden_cl4srec();
-    let opts = fit_golden_options(data_parallel);
-    let report = model.fit_joint(&fit_golden_split(), &augs, 0.1, &opts);
-    fit_record(&report, &model)
-}
-
 /// A named golden scenario: `(fixture file, runner)`.
 pub type GoldenScenario = (&'static str, fn() -> GoldenRecord);
 
-/// Every fit-level scenario: one per fit loop
-/// (the seven baselines' `fit`, CL4SRec pre-training and joint training)
-/// plus the `data_parallel: 2` paths of SASRec `fit`, pre-training and
-/// joint training.
-pub const FIT_GOLDENS: [GoldenScenario; 12] = [
-    ("fit_sasrec.golden", || fit_sasrec(1)),
+/// Every fit-level scenario: one per fit loop (the seven baselines' `fit`,
+/// CL4SRec pre-training and joint training).
+pub const FIT_GOLDENS: [GoldenScenario; 9] = [
+    ("fit_sasrec.golden", || {
+        let mut model = SasRec::new(golden_encoder_config(), 7);
+        let report = model.fit(&fit_golden_split(), &fit_golden_options());
+        fit_record(&report, &model)
+    }),
     ("fit_bert4rec.golden", || {
         let cfg = Bert4RecConfig { encoder: golden_encoder_config(), mask_prob: 0.3 };
         let mut model = Bert4Rec::new(cfg, 7);
-        let report = model.fit(&fit_golden_split(), &fit_golden_options(1));
+        let report = model.fit(&fit_golden_split(), &fit_golden_options());
         fit_record(&report, &model)
     }),
     ("fit_gru4rec.golden", || {
         let cfg = Gru4RecConfig { num_items: 10, d: 8, max_len: 6, dropout: 0.1 };
         let mut model = Gru4Rec::new(cfg, 7);
-        let report = model.fit(&fit_golden_split(), &fit_golden_options(1));
+        let report = model.fit(&fit_golden_split(), &fit_golden_options());
         fit_record(&report, &model)
     }),
     ("fit_caser.golden", || {
@@ -273,34 +253,39 @@ pub const FIT_GOLDENS: [GoldenScenario; 12] = [
         };
         let split = fit_golden_split();
         let mut model = Caser::new(cfg, split.num_users(), 7);
-        let report = model.fit(&split, &fit_golden_options(1));
+        let report = model.fit(&split, &fit_golden_options());
         fit_record(&report, &model)
     }),
     ("fit_ncf.golden", || {
         let split = fit_golden_split();
         let mut model = Ncf::new(NcfConfig { d: 8 }, split.num_users(), 10, 7);
-        let report = model.fit(&split, &fit_golden_options(1));
+        let report = model.fit(&split, &fit_golden_options());
         fit_record(&report, &model)
     }),
     ("fit_fpmc.golden", || {
         let split = fit_golden_split();
         let cfg = FpmcConfig { d: 8, weight_decay: 1e-4 };
         let mut model = Fpmc::new(cfg, split.num_users(), 10, 7);
-        let report = model.fit(&split, &fit_golden_options(1));
+        let report = model.fit(&split, &fit_golden_options());
         fit_record(&report, &model)
     }),
     ("fit_bprmf.golden", || {
         let split = fit_golden_split();
         let cfg = BprMfConfig { d: 8, weight_decay: 1e-4 };
         let mut model = BprMf::new(cfg, split.num_users(), 10, 7);
-        let report = model.fit(&split, &fit_golden_options(1));
+        let report = model.fit(&split, &fit_golden_options());
         fit_record(&report, &model)
     }),
-    ("pretrain.golden", || pretrain(1)),
-    ("fit_joint.golden", || fit_joint(1)),
-    ("fit_sasrec_dp2.golden", || fit_sasrec(2)),
-    ("pretrain_dp2.golden", || pretrain(2)),
-    ("fit_joint_dp2.golden", || fit_joint(2)),
+    ("pretrain.golden", || {
+        let (mut model, augs) = golden_cl4srec();
+        let report = model.pretrain(&fit_golden_split(), &augs, &pretrain_golden_options());
+        pretrain_record(&report, &model)
+    }),
+    ("fit_joint.golden", || {
+        let (mut model, augs) = golden_cl4srec();
+        let report = model.fit_joint(&fit_golden_split(), &augs, 0.1, &fit_golden_options());
+        fit_record(&report, &model)
+    }),
 ];
 
 #[cfg(test)]

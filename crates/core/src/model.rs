@@ -15,7 +15,6 @@ use seqrec_models::checkpoint::{self, CheckpointError, Checkpointable, TensorDat
 use seqrec_models::common::{
     fit_loop, serial_step, AnomalyPolicy, AnomalyReport, FitSpec, StopOn, TrainOptions, TrainReport,
 };
-use seqrec_models::dp;
 use seqrec_models::encoder::EncoderConfig;
 use seqrec_models::sasrec::SasRec;
 use seqrec_obs::json::Value as JsonValue;
@@ -69,14 +68,6 @@ pub struct PretrainOptions {
     /// When set, pre-training writes a run ledger into this directory
     /// (same layout as [`TrainOptions::run_dir`]).
     pub run_dir: Option<String>,
-    /// Data-parallel degree: split each contrastive batch into this many
-    /// row shards, run forward/backward per shard, and tree-all-reduce
-    /// gradients before one Adam step (see [`seqrec_models::dp`]).
-    /// Augmented views are identical to a serial pass (per-sequence
-    /// substreams), but NT-Xent negatives come from within each shard, so
-    /// the sharded objective contrasts against `2·N/shards − 1` negatives
-    /// instead of `2N − 1`. 1 (the default) keeps the serial step.
-    pub data_parallel: usize,
 }
 
 impl Default for PretrainOptions {
@@ -90,7 +81,6 @@ impl Default for PretrainOptions {
             verbosity: 0,
             on_anomaly: AnomalyPolicy::Warn,
             run_dir: None,
-            data_parallel: 1,
         }
     }
 }
@@ -152,9 +142,12 @@ impl Cl4sRec {
     /// The contrastive loss of one batch of raw training sequences
     /// (two augmented views per sequence, NT-Xent over the `2N` batch).
     ///
-    /// Augmentation draws a fresh base seed from `r`, then gives every
-    /// sequence its own ChaCha substream — see
-    /// [`Cl4sRec::contrastive_loss_seeded`] for the determinism contract.
+    /// Augmentation draws one base seed `aug_base` from `r`; sequence `i`
+    /// then samples its two views from an independent ChaCha substream
+    /// seeded `aug_base ^ i`. The views therefore depend only on
+    /// `(aug_base, i)`, never on worker count or stealing order, so the
+    /// views are built in parallel and stay bit-exact at any pool size.
+    /// The rest of `r` is consumed for dropout on the calling thread.
     pub fn contrastive_loss(
         &self,
         step: &mut Step,
@@ -163,33 +156,10 @@ impl Cl4sRec {
         training: bool,
         r: &mut TensorRng,
     ) -> Var {
-        let aug_base = rand::RngCore::next_u64(r);
-        self.contrastive_loss_seeded(step, seqs, augs, training, aug_base, 0, r)
-    }
-
-    /// [`Cl4sRec::contrastive_loss`] with the augmentation stream made
-    /// explicit: sequence `i` of this call samples its two views from an
-    /// independent substream seeded `aug_base ^ (offset + i)`. The views
-    /// therefore depend only on `(aug_base, offset, i)` — never on worker
-    /// count, stealing order, or how the batch is sharded — so the batch
-    /// pipeline can run augmentation in parallel, and data-parallel shards
-    /// passing their global row offset reproduce exactly the views one
-    /// serial pass over the full batch would draw. `r` is still consumed
-    /// for dropout on the calling thread.
-    #[allow(clippy::too_many_arguments)]
-    pub fn contrastive_loss_seeded(
-        &self,
-        step: &mut Step,
-        seqs: &[&[u32]],
-        augs: &AugmentationSet,
-        training: bool,
-        aug_base: u64,
-        offset: usize,
-        r: &mut TensorRng,
-    ) -> Var {
         assert!(seqs.len() >= 2, "need ≥ 2 sequences for in-batch negatives");
         let t = self.cfg.encoder.max_len;
         let n = seqs.len();
+        let aug_base = rand::RngCore::next_u64(r);
         let mut ids1 = Vec::with_capacity(n * t);
         let mut ids2 = Vec::with_capacity(n * t);
         let mut valid1 = Vec::with_capacity(n);
@@ -199,7 +169,7 @@ impl Cl4sRec {
             let views: Vec<_> = (0..n)
                 .into_par_iter()
                 .map(|i| {
-                    let mut ri = rng(aug_base ^ (offset + i) as u64);
+                    let mut ri = rng(aug_base ^ i as u64);
                     let (view1, view2) = augs.two_views(seqs[i], &mut ri);
                     (pad_left(&view1, t), pad_left(&view2, t))
                 })
@@ -260,9 +230,7 @@ impl Cl4sRec {
     }
 
     /// Pre-training restricted to a user subset (RQ4 sweeps). Early
-    /// stopping watches the training loss; with `opts.data_parallel > 1`
-    /// each batch is sharded by sequences, every shard's NT-Xent weighted
-    /// by its sequence share.
+    /// stopping watches the training loss.
     pub fn pretrain_on_users(
         &mut self,
         split: &Split,
@@ -282,7 +250,6 @@ impl Cl4sRec {
             verbosity: opts.verbosity,
             on_anomaly: opts.on_anomaly,
             run_dir: opts.run_dir.clone(),
-            data_parallel: opts.data_parallel,
         };
         let mut r = rng(opts.seed);
         let spec = FitSpec {
@@ -293,29 +260,7 @@ impl Cl4sRec {
         let adam = |_| AdamConfig { lr: opts.lr, ..AdamConfig::default() };
         let report = fit_loop(self, split, &loop_opts, spec, adam, |m, adam, chunk| {
             let seqs: Vec<&[u32]> = chunk.iter().map(|&u| split.train_sequence(u)).collect();
-            let shards = dp::effective_shards(opts.data_parallel, seqs.len());
-            if shards > 1 {
-                let aug_base = rand::RngCore::next_u64(&mut r);
-                let step_seed = rand::RngCore::next_u64(&mut r);
-                let n_total = seqs.len() as f32;
-                let (loss, reduced) =
-                    dp::shard_step(&*m, seqs.len(), shards, step_seed, |step, (lo, hi), r| {
-                        let w = (hi - lo) as f32 / n_total;
-                        let loss = m.contrastive_loss_seeded(
-                            step,
-                            &seqs[lo..hi],
-                            augs,
-                            true,
-                            aug_base,
-                            lo,
-                            r,
-                        );
-                        (step.tape.scale(loss, w), step.tape.value(loss).item(), w)
-                    });
-                (loss, adam.step_with_stats_reduced(m, &reduced))
-            } else {
-                serial_step(m, adam, |m, step| m.contrastive_loss(step, &seqs, augs, true, &mut r))
-            }
+            serial_step(m, adam, |m, step| m.contrastive_loss(step, &seqs, augs, true, &mut r))
         });
         PretrainReport {
             losses: report.epochs.iter().map(|e| e.loss).collect(),
@@ -333,11 +278,7 @@ impl Cl4sRec {
     /// reasonable default at this scale.
     ///
     /// Returns the usual [`TrainReport`]; the reported loss is the joint
-    /// objective. With `opts.data_parallel > 1` each shard scales its
-    /// next-item term by its share of valid targets and its contrastive
-    /// term by `λ ×` its sequence share, so the reduced gradients match the
-    /// serial next-item gradient exactly; the contrastive term uses
-    /// in-shard negatives (see [`PretrainOptions::data_parallel`]).
+    /// objective.
     pub fn fit_joint(
         &mut self,
         split: &Split,
@@ -354,43 +295,9 @@ impl Cl4sRec {
         fit_loop(self, split, opts, spec, adam, |m, adam, chunk| {
             let seqs: Vec<&[u32]> = chunk.iter().map(|&u| split.train_sequence(u)).collect();
             let batch = next_item_batch(&seqs, t, &mut sampler);
-            let shards = dp::effective_shards(opts.data_parallel, seqs.len());
-            if shards > 1 {
-                let aug_base = rand::RngCore::next_u64(&mut r);
-                let step_seed = rand::RngCore::next_u64(&mut r);
-                let total_valid = batch.target_mask.iter().sum::<f32>().max(1.0);
-                let n_total = seqs.len() as f32;
-                let (loss, reduced) =
-                    dp::shard_step(&*m, seqs.len(), shards, step_seed, |step, (lo, hi), r| {
-                        let sub = dp::slice_batch(&batch, lo, hi);
-                        let w_next = sub.target_mask.iter().sum::<f32>() / total_valid;
-                        let w_seq = (hi - lo) as f32 / n_total;
-                        let next = {
-                            let _fwd = seqrec_obs::span!("forward");
-                            m.sasrec.next_item_loss(step, &sub, true, r)
-                        };
-                        let cl = m.contrastive_loss_seeded(
-                            step,
-                            &seqs[lo..hi],
-                            augs,
-                            true,
-                            aug_base,
-                            lo,
-                            r,
-                        );
-                        let next_w = step.tape.scale(next, w_next);
-                        let cl_w = step.tape.scale(cl, lambda * w_seq);
-                        let total = step.tape.add(next_w, cl_w);
-                        let shard_loss =
-                            step.tape.value(next).item() + lambda * step.tape.value(cl).item();
-                        (total, shard_loss, w_seq)
-                    });
-                (loss, adam.step_with_stats_reduced(m, &reduced))
-            } else {
-                serial_step(m, adam, |m, step| {
-                    m.joint_loss(step, &batch, &seqs, augs, lambda, true, &mut r)
-                })
-            }
+            serial_step(m, adam, |m, step| {
+                m.joint_loss(step, &batch, &seqs, augs, lambda, true, &mut r)
+            })
         })
     }
 
@@ -451,22 +358,10 @@ impl Checkpointable for Cl4sRec {
         let enc = cfg
             .get("encoder")
             .ok_or_else(|| CheckpointError::Format("manifest missing \"encoder\"".into()))?;
-        let get = |v: &JsonValue, key: &str| {
-            v.get(key).and_then(JsonValue::as_f64).ok_or_else(|| {
-                CheckpointError::Format(format!("manifest field {key:?} is not a number"))
-            })
-        };
-        let cfg = Cl4sRecConfig {
-            encoder: EncoderConfig {
-                num_items: get(enc, "num_items")? as usize,
-                d: get(enc, "d")? as usize,
-                heads: get(enc, "heads")? as usize,
-                layers: get(enc, "layers")? as usize,
-                max_len: get(enc, "max_len")? as usize,
-                dropout: get(enc, "dropout")? as f32,
-            },
-            tau: get(cfg, "tau")? as f32,
-        };
+        let tau = cfg.get("tau").and_then(JsonValue::as_f64).ok_or_else(|| {
+            CheckpointError::Format("manifest field \"tau\" is not a number".into())
+        })?;
+        let cfg = Cl4sRecConfig { encoder: checkpoint::encoder_config(enc)?, tau: tau as f32 };
         Ok(Cl4sRec::new(cfg, 0))
     }
     fn restore(&mut self, tensors: Vec<TensorData>) -> Result<(), CheckpointError> {

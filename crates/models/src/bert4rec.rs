@@ -1,7 +1,7 @@
 //! BERT4Rec (Sun et al., CIKM 2019): bidirectional Transformer trained with
 //! a cloze objective.
 //!
-//! Cited as [41] and included in the ICDE camera-ready comparison. Reuses
+//! Cited as \[41\] and included in the ICDE camera-ready comparison. Reuses
 //! this workspace's [`TransformerEncoder`] in bidirectional mode: random
 //! positions are replaced with the `[mask]` token and the model predicts the
 //! original item at each masked position with a full-softmax cross-entropy

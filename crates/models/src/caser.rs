@@ -1,6 +1,6 @@
 //! Caser (Tang & Wang, WSDM 2018): Convolutional Sequence Embedding.
 //!
-//! Cited as [42] and part of the ICDE camera-ready comparison. The last `L`
+//! Cited as \[42\] and part of the ICDE camera-ready comparison. The last `L`
 //! items are embedded into an `L × d` "image"; horizontal filters of
 //! heights `2..` capture union-level patterns (max-pooled over time) and
 //! vertical filters capture weighted skip-gram-like patterns; the
@@ -54,14 +54,28 @@ impl CaserConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.num_items > 0 && self.d > 0 && self.window > 0);
-        assert!(!self.heights.is_empty(), "need at least one filter height");
-        assert!(
-            self.heights.iter().all(|&h| h >= 1 && h <= self.window),
-            "heights must lie in 1..=window"
-        );
-        assert!(self.n_h > 0 && self.n_v > 0);
+    /// Checks the shape invariants [`Caser::new`] relies on, describing the
+    /// first one the configuration breaks.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.num_items == 0 || self.d == 0 || self.window == 0 {
+            return Err(format!(
+                "num_items ({}), d ({}) and window ({}) must be positive",
+                self.num_items, self.d, self.window
+            ));
+        }
+        if self.heights.is_empty() {
+            return Err("need at least one filter height".into());
+        }
+        if !self.heights.iter().all(|&h| h >= 1 && h <= self.window) {
+            return Err(format!(
+                "filter heights {:?} must lie in 1..={}",
+                self.heights, self.window
+            ));
+        }
+        if self.n_h == 0 || self.n_v == 0 {
+            return Err(format!("n_h ({}) and n_v ({}) must be positive", self.n_h, self.n_v));
+        }
+        Ok(())
     }
 }
 
@@ -83,8 +97,14 @@ pub struct Caser {
 
 impl Caser {
     /// Builds an untrained model.
+    ///
+    /// # Panics
+    /// Panics if `cfg` breaks a shape invariant: every filter height must
+    /// lie in `1..=window`, and the sizes must be non-zero.
     pub fn new(cfg: CaserConfig, num_users: usize, seed: u64) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("invalid Caser config: {e}");
+        }
         let mut r = rng(seed);
         let d = cfg.d;
         let item_emb = Embedding::new("caser.item", cfg.num_items + 2, d, &mut r);

@@ -24,9 +24,11 @@
 //! `fnv1a` is the same order-sensitive FNV-1a over little-endian f32 bit
 //! patterns the golden training fixtures use, so a checkpoint digest can be
 //! compared directly against a golden record. [`load`] verifies magic,
-//! version, kind, every shape against the freshly built skeleton and every
-//! digest against the stored bytes — corruption, truncation and version
-//! bumps are rejected with a [`CheckpointError`] diagnostic, never a panic.
+//! version, kind, the encoder and Caser configs against their models' shape
+//! invariants, every shape against the freshly built skeleton and every
+//! digest against the stored bytes — corruption, truncation, impossible
+//! configs and version bumps are rejected with a [`CheckpointError`]
+//! diagnostic, never a panic.
 //! Saving a just-loaded model reproduces the file byte for byte
 //! (`tests/checkpoint_roundtrip.rs`).
 //!
@@ -402,15 +404,29 @@ fn req_f32(v: &Value, key: &str) -> Result<f32, CheckpointError> {
     req_f64(v, key).map(|f| f as f32)
 }
 
-fn encoder_config(v: &Value) -> Result<EncoderConfig, CheckpointError> {
-    Ok(EncoderConfig {
+/// A manifest's validation failure, as a checkpoint error.
+fn invalid_config(e: String) -> CheckpointError {
+    CheckpointError::Format(format!("manifest config: {e}"))
+}
+
+/// Reads an [`EncoderConfig`] from a manifest object and checks it the way
+/// [`crate::TransformerEncoder::new`] does, so a model built from it cannot
+/// panic on its shape invariants.
+///
+/// # Errors
+/// [`CheckpointError::Format`] when a field is missing or not a number, or
+/// when the configuration fails validation.
+pub fn encoder_config(v: &Value) -> Result<EncoderConfig, CheckpointError> {
+    let cfg = EncoderConfig {
         num_items: req_usize(v, "num_items")?,
         d: req_usize(v, "d")?,
         heads: req_usize(v, "heads")?,
         layers: req_usize(v, "layers")?,
         max_len: req_usize(v, "max_len")?,
         dropout: req_f32(v, "dropout")?,
-    })
+    };
+    cfg.validate().map_err(invalid_config)?;
+    Ok(cfg)
 }
 
 // --- per-model impls --------------------------------------------------------
@@ -508,6 +524,7 @@ impl Checkpointable for Caser {
             n_v: req_usize(m, "n_v")?,
             dropout: req_f32(m, "dropout")?,
         };
+        model_cfg.validate().map_err(invalid_config)?;
         Ok(Caser::new(model_cfg, req_usize(cfg, "num_users")?, 0))
     }
     fn restore(&mut self, tensors: Vec<TensorData>) -> Result<(), CheckpointError> {

@@ -111,16 +111,6 @@ pub struct TrainOptions {
     /// None (the default) writes nothing — tests and library callers stay
     /// free of filesystem side effects.
     pub run_dir: Option<String>,
-    /// Data-parallel degree: split each mini-batch into this many row
-    /// shards, run forward/backward per shard (on the thread pool when one
-    /// is available), and tree-all-reduce the gradients before a single
-    /// optimiser step (see [`crate::dp`]). 1 (the default) keeps the
-    /// classic serial step, bit-identical to previous releases.
-    ///
-    /// Only SASRec `fit` (and so CL4SRec `finetune`) and CL4SRec
-    /// `fit_joint` honour this. The other fit loops always take the serial
-    /// step, although their run ledger records the requested value.
-    pub data_parallel: usize,
 }
 
 impl Default for TrainOptions {
@@ -137,7 +127,6 @@ impl Default for TrainOptions {
             verbosity: 0,
             on_anomaly: AnomalyPolicy::Warn,
             run_dir: None,
-            data_parallel: 1,
         }
     }
 }

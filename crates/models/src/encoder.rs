@@ -55,11 +55,25 @@ impl EncoderConfig {
         self.num_items + 2
     }
 
-    fn validate(&self) {
-        assert!(self.num_items > 0, "empty catalog");
-        assert!(self.d > 0 && self.d.is_multiple_of(self.heads), "d must divide heads");
-        assert!(self.layers > 0 && self.max_len > 0);
-        assert!((0.0..1.0).contains(&self.dropout));
+    /// Checks the shape invariants [`TransformerEncoder::new`] relies on,
+    /// describing the first one the configuration breaks.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.num_items == 0 {
+            return Err("empty catalog".into());
+        }
+        if self.d == 0 || !self.d.is_multiple_of(self.heads) {
+            return Err(format!("heads ({}) must divide d ({})", self.heads, self.d));
+        }
+        if self.layers == 0 || self.max_len == 0 {
+            return Err(format!(
+                "layers ({}) and max_len ({}) must be positive",
+                self.layers, self.max_len
+            ));
+        }
+        if !(0.0..1.0).contains(&self.dropout) {
+            return Err(format!("dropout {} outside [0, 1)", self.dropout));
+        }
+        Ok(())
     }
 }
 
@@ -118,8 +132,15 @@ pub struct TransformerEncoder {
 
 impl TransformerEncoder {
     /// Builds an encoder with the paper's truncated-normal initialisation.
+    ///
+    /// # Panics
+    /// Panics if `cfg` breaks a shape invariant: `heads` must divide `d`,
+    /// and the catalog, `d`, `layers` and `max_len` must be non-empty, with
+    /// `dropout` in `[0, 1)`.
     pub fn new(cfg: EncoderConfig, rng: &mut TensorRng) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("invalid encoder config: {e}");
+        }
         let item_emb = Embedding::new("enc.item", cfg.vocab(), cfg.d, rng);
         let pos_emb = Param::new("enc.pos", init::paper_default([cfg.max_len, cfg.d], rng));
         let blocks =

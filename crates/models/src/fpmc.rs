@@ -1,6 +1,6 @@
 //! FPMC (Rendle et al., WWW 2010): Factorizing Personalized Markov Chains.
 //!
-//! The classic pre-deep-learning sequential baseline (cited as [40] by the
+//! The classic pre-deep-learning sequential baseline (cited as \[40\] by the
 //! paper and included in the ICDE camera-ready comparison): a matrix
 //! factorisation term models long-term preference and a factorised
 //! first-order Markov term models the transition from the previous item:

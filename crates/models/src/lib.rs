@@ -26,7 +26,6 @@ pub mod bprmf;
 pub mod caser;
 pub mod checkpoint;
 pub mod common;
-pub mod dp;
 pub mod encoder;
 pub mod fpmc;
 pub mod gru4rec;

@@ -14,7 +14,6 @@ use seqrec_tensor::optim::{AdamConfig, LrSchedule};
 use seqrec_tensor::{linalg, Tensor, Var};
 
 use crate::common::{fit_loop, serial_step, FitSpec, TrainOptions, TrainReport};
-use crate::dp;
 use crate::encoder::{EncoderConfig, TransformerEncoder};
 
 /// The SASRec model: a [`TransformerEncoder`] plus the Eq. 15 training
@@ -91,9 +90,7 @@ impl SasRec {
     }
 
     /// Trains with Adam + linear LR decay and early stopping on a
-    /// validation HR@10 probe. With `opts.data_parallel > 1` each batch is
-    /// sharded by rows ([`dp::shard_step`]), every shard's loss scaled by
-    /// its share of the batch's valid targets.
+    /// validation HR@10 probe.
     pub fn fit(&mut self, split: &Split, opts: &TrainOptions) -> TrainReport {
         let mut sampler = NegativeSampler::new(split.num_items(), opts.seed ^ 0x5a5a);
         let mut r = rng(opts.seed);
@@ -110,27 +107,10 @@ impl SasRec {
         fit_loop(self, split, opts, spec, adam, |m, adam, chunk| {
             let seqs: Vec<&[u32]> = chunk.iter().map(|&u| split.train_sequence(u)).collect();
             let batch = next_item_batch(&seqs, t, &mut sampler);
-            let shards = dp::effective_shards(opts.data_parallel, batch.b);
-            if shards > 1 {
-                let step_seed = rand::RngCore::next_u64(&mut r);
-                let total_valid = batch.target_mask.iter().sum::<f32>().max(1.0);
-                let (loss, reduced) =
-                    dp::shard_step(&*m, batch.b, shards, step_seed, |step, (lo, hi), r| {
-                        let sub = dp::slice_batch(&batch, lo, hi);
-                        let w = sub.target_mask.iter().sum::<f32>() / total_valid;
-                        let loss = {
-                            let _fwd = seqrec_obs::span!("forward");
-                            m.next_item_loss(step, &sub, true, r)
-                        };
-                        (step.tape.scale(loss, w), step.tape.value(loss).item(), w)
-                    });
-                (loss, adam.step_with_stats_reduced(m, &reduced))
-            } else {
-                serial_step(m, adam, |m, step| {
-                    let _fwd = seqrec_obs::span!("forward");
-                    m.next_item_loss(step, &batch, true, &mut r)
-                })
-            }
+            serial_step(m, adam, |m, step| {
+                let _fwd = seqrec_obs::span!("forward");
+                m.next_item_loss(step, &batch, true, &mut r)
+            })
         })
     }
 

@@ -554,14 +554,6 @@ pub static UPDATE_RATIO_MICRO: Histogram = Histogram::new(
     "train.update_ratio_micro",
     &[1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000],
 );
-/// Distribution of the per-step spread (max − min, milli-units) of shard
-/// losses under data-parallel training. A wide spread means the shards see
-/// systematically different data — the DP analogue of a skewed per-group
-/// gradient norm.
-pub static DP_SHARD_LOSS_SPREAD_MILLI: Histogram = Histogram::new(
-    "train.dp_shard_loss_spread_milli",
-    &[1, 10, 100, 1_000, 10_000, 100_000, 1_000_000],
-);
 /// Score requests handled by the serving stack.
 pub static SERVE_REQUESTS: Counter = Counter::new("serve.requests");
 /// Serve requests whose encoder state came from the user-state cache; the
@@ -705,13 +697,12 @@ fn gauges() -> [&'static Gauge; 3] {
     [&TENSOR_LIVE_BYTES, &SERVE_QUEUE, &SERVE_IN_FLIGHT]
 }
 
-fn histograms() -> [&'static Histogram; 9] {
+fn histograms() -> [&'static Histogram; 8] {
     [
         &GEMM_FLOPS_PER_CALL,
         &TRAIN_BATCH_US,
         &GRAD_NORM_MILLI,
         &UPDATE_RATIO_MICRO,
-        &DP_SHARD_LOSS_SPREAD_MILLI,
         &SERVE_BATCH_US,
         &SERVE_LATENCY_US.hist,
         &SERVE_QUEUE_DEPTH.hist,

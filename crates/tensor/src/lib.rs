@@ -13,7 +13,7 @@
 //! * [`nn`]: `Linear`, `LayerNorm`, `Embedding` modules and the
 //!   [`nn::Param`]/[`nn::Step`] binding machinery.
 //! * [`optim`]: Adam (the paper's optimiser) with linear LR decay and
-//!   global-norm clipping; SGD for tests.
+//!   global-norm clipping.
 //! * [`linalg`]: a packed, cache-blocked GEMM engine (`nn`/`nt`/`tn`,
 //!   batched) with an AVX2+FMA microkernel and rayon row-band parallelism.
 //! * [`topk`]: deterministic SIMD partial-select top-K for the serving

@@ -18,7 +18,7 @@
 //! Parallelism is over the row blocks of `C` inside each `(jc, pc)`
 //! iteration: `out.par_chunks_mut(MC*n)` hands every worker a disjoint,
 //! contiguous band of rows, so no unsafe aliasing is needed. Each worker
-//! packs its own A-block into a thread-local buffer ([`super::scratch`]);
+//! packs its own A-block into a thread-local buffer (`super::scratch`);
 //! the shared read-only `bpack` is packed once per `(jc, pc)` by the
 //! calling thread.
 //!

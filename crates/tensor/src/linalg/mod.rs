@@ -10,7 +10,7 @@
 //! ## Engine structure
 //!
 //! The engine ([`gemm`]) is a classic three-level cache-blocked GEMM in the
-//! Goto/BLIS mould; [`micro`], [`pack`] and [`scratch`] document each layer
+//! Goto/BLIS mould; [`micro`], [`pack`] and `scratch` document each layer
 //! in detail:
 //!
 //! * **Register blocking** ([`micro`]): an `MR×NR = 6×16` microkernel keeps
@@ -28,7 +28,7 @@
 //!   (`MC` rows each) are distributed over rayon workers via
 //!   `par_chunks_mut` — disjoint output regions, no locks, no unsafe
 //!   aliasing. Workers pack their own A panels into thread-local scratch
-//!   ([`scratch`]), so steady-state GEMM performs **zero allocation**.
+//!   (`scratch`), so steady-state GEMM performs **zero allocation**.
 //!   The in-tree rayon shim is a real work-stealing pool sized by
 //!   `SEQREC_THREADS` / available parallelism (`shims/README.md`);
 //!   because the bands are disjoint, results are bit-identical at every

@@ -6,9 +6,9 @@
 //! used by several sub-graphs (e.g. the item-embedding table shared between
 //! two augmented views) accumulates all its gradients in one place.
 //!
-//! The binding cache holds one entry **per live tape**, behind a mutex:
-//! data-parallel training shares `&model` across shard threads, each with
-//! its own [`Step`], and every shard must keep its one-var-per-tape
+//! The binding cache holds one entry **per live tape**, behind a mutex, so
+//! several steps may bind the same `&model` at once (interleaved on one
+//! thread or on different threads) and each keeps its one-var-per-tape
 //! accumulation invariant without clobbering the others' bindings.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,8 +52,7 @@ impl Default for Step {
 }
 
 /// How many per-tape bindings a parameter keeps before evicting the
-/// oldest. Data-parallel training runs one tape per shard concurrently;
-/// 16 comfortably covers any realistic shard count.
+/// oldest: the most steps that may bind one parameter at the same time.
 const MAX_BINDINGS: usize = 16;
 
 /// A named trainable tensor.
@@ -210,8 +209,8 @@ mod tests {
 
     #[test]
     fn interleaved_steps_keep_independent_bindings() {
-        // Data-parallel shards each run their own step against a shared
-        // model; one shard's binding must not clobber another's.
+        // Two steps bind one shared parameter at once; one step's binding
+        // must not clobber the other's.
         let p = Param::new("w", Tensor::from_vec([1], vec![2.0]));
         let mut s1 = Step::new();
         let mut s2 = Step::new();

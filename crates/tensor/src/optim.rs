@@ -1,5 +1,5 @@
-//! Optimisers: Adam with optional linear learning-rate decay and global
-//! gradient clipping, plus plain SGD for tests and sanity baselines.
+//! The optimiser: Adam with optional linear learning-rate decay and global
+//! gradient clipping.
 //!
 //! The paper optimises both stages with Adam (`lr = 0.001`, `β₁ = 0.9`,
 //! `β₂ = 0.999`, linear decay) — those are the defaults here.
@@ -129,42 +129,15 @@ impl Adam {
         stats
     }
 
-    /// Like [`Adam::step_with_stats`], but reads each parameter's gradient
-    /// from `reduced`, indexed in `visit` order. The data-parallel fit path
-    /// tree-reduces per-shard gradients into such a slice, then applies a
-    /// single ordinary Adam update — the update arithmetic is byte-for-byte
-    /// the same code path as [`Adam::step`].
-    pub fn step_with_stats_reduced<M: HasParams + ?Sized>(
-        &mut self,
-        model: &mut M,
-        reduced: &[Option<Tensor>],
-    ) -> OptimStepStats {
-        let mut stats = OptimStepStats::default();
-        self.step_core(model, &|i, _| reduced.get(i).and_then(Option::as_ref), Some(&mut stats));
-        stats
-    }
-
     fn step_inner<M: HasParams + ?Sized>(
         &mut self,
         model: &mut M,
         step: &Step,
         grads: &Gradients,
-        stats: Option<&mut OptimStepStats>,
-    ) {
-        self.step_core(model, &|_, p| p.grad(step, grads), stats);
-    }
-
-    /// The shared update loop: `grad_at(i, p)` resolves parameter `i` (in
-    /// `visit`/`visit_mut` order) to its gradient, from either a tape or a
-    /// pre-reduced slice.
-    fn step_core<'g, M: HasParams + ?Sized>(
-        &mut self,
-        model: &mut M,
-        grad_at: &(dyn Fn(usize, &Param) -> Option<&'g Tensor> + 'g),
         mut stats: Option<&mut OptimStepStats>,
     ) {
         let _span = seqrec_obs::span!("optim");
-        let clip_scale = self.clip_scale(model, grad_at);
+        let clip_scale = self.clip_scale(model, step, grads);
         let lr = self.current_lr();
         self.t += 1;
         let bc1 = 1.0 - self.cfg.beta1.powi(self.t as i32);
@@ -177,11 +150,8 @@ impl Adam {
             s.clip_scale = clip_scale;
         }
 
-        let mut index = 0usize;
         model.visit_mut(&mut |p: &mut Param| {
-            let i = index;
-            index += 1;
-            let Some(grad) = grad_at(i, p) else { return };
+            let Some(grad) = p.grad(step, grads) else { return };
             let grad = grad.clone();
             let entry = state.entry(p.name().to_string()).or_insert_with(|| Moments {
                 m: Tensor::zeros(grad.shape().clone()),
@@ -232,18 +202,11 @@ impl Adam {
         });
     }
 
-    fn clip_scale<'g, M: HasParams + ?Sized>(
-        &self,
-        model: &M,
-        grad_at: &(dyn Fn(usize, &Param) -> Option<&'g Tensor> + 'g),
-    ) -> f32 {
+    fn clip_scale<M: HasParams + ?Sized>(&self, model: &M, step: &Step, grads: &Gradients) -> f32 {
         let Some(max_norm) = self.cfg.clip_norm else { return 1.0 };
         let mut sq = 0.0f64;
-        let mut index = 0usize;
         model.visit(&mut |p: &Param| {
-            let i = index;
-            index += 1;
-            if let Some(g) = grad_at(i, p) {
+            if let Some(g) = p.grad(step, grads) {
                 let n = g.norm() as f64;
                 sq += n * n;
             }
@@ -254,33 +217,6 @@ impl Adam {
         } else {
             1.0
         }
-    }
-}
-
-/// Minimal SGD, mostly for gradient-checking tests and toy baselines.
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// `w -= lr * g` for every parameter with a gradient.
-    pub fn step<M: HasParams + ?Sized>(&self, model: &mut M, step: &Step, grads: &Gradients) {
-        let _span = seqrec_obs::span!("optim");
-        model.visit_mut(&mut |p: &mut Param| {
-            if let Some(g) = p.grad(step, grads) {
-                let g = g.clone();
-                let lr = self.lr;
-                for (w, &gv) in p.value_mut().data_mut().iter_mut().zip(g.data()) {
-                    *w -= lr * gv;
-                }
-            }
-        });
     }
 }
 
@@ -304,20 +240,6 @@ mod tests {
             adam.step(&mut p, &step, &grads);
         }
         assert!((p.value().item() - 3.0).abs() < 1e-2, "w = {}", p.value().item());
-    }
-
-    #[test]
-    fn sgd_takes_plain_gradient_steps() {
-        let mut p = Param::new("w", Tensor::scalar(10.0));
-        let sgd = Sgd::new(0.25);
-        let mut step = Step::new();
-        let w = p.var(&mut step);
-        let sq = step.tape.mul(w, w);
-        let loss = step.tape.sum_all(sq);
-        let grads = step.tape.backward(loss);
-        sgd.step(&mut p, &step, &grads);
-        // grad = 2w = 20 → w = 10 - 0.25·20 = 5
-        assert_eq!(p.value().item(), 5.0);
     }
 
     #[test]

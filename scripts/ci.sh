@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The full CI gate: formatting, lints, then the tier-1 test suite.
+# The full CI gate: formatting, lints, warning-free docs, then the tier-1 test suite.
 #
 # Kept strictly ordered cheapest-first so a style slip fails in seconds
 # instead of after a release build. Clippy runs with -D warnings across
@@ -12,6 +12,11 @@ cargo fmt --check
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Docs build warning-free too, so a doc link to a deleted or private item
+# (or a bracketed citation rustdoc reads as a link) fails the gate.
+echo "== cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== scripts/test.sh (default pool size)"
 bash scripts/test.sh

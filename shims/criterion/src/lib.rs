@@ -5,7 +5,7 @@
 //! macros.
 //!
 //! Measurement model: a short calibration run sizes the per-sample
-//! iteration count so one sample costs roughly [`TARGET_SAMPLE_NANOS`];
+//! iteration count so one sample costs roughly `TARGET_SAMPLE_NANOS`;
 //! `sample_size` samples are then timed and summarized as mean ± stddev.
 //! With `Throughput::Elements(n)` the element rate (= GFLOP/s when `n` is
 //! the FLOP count) is printed and recorded. Every result is appended as a

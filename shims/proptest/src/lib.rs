@@ -214,7 +214,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     pub struct VecStrategy<S, L> {
         element: S,
         size: L,

@@ -1,5 +1,5 @@
 //! Offline shim for the `rayon` API subset used by this workspace, backed
-//! by a **real fixed-size work-stealing thread pool** (see [`pool`] module
+//! by a **real fixed-size work-stealing thread pool** (see the `pool` module
 //! docs for the architecture). The global pool is sized by the
 //! `SEQREC_THREADS` environment variable, falling back to the machine's
 //! available parallelism; at 1 thread everything runs inline on the

@@ -4,7 +4,8 @@
 //!   function of the weights, with no ambient state leaking in);
 //! * the loaded model's forward pass is **bit-exact** against the
 //!   original on a fixed batch;
-//! * corrupted, truncated, or version-bumped files are rejected with a
+//! * corrupted, truncated, or version-bumped files, and manifests whose
+//!   config no model could be built from, are rejected with a
 //!   [`CheckpointError`] diagnostic — never a panic, never a silent load.
 
 use cp4rec_repro::cl4srec::model::{Cl4sRec, Cl4sRecConfig};
@@ -106,6 +107,56 @@ fn kind_and_version_mismatches_are_diagnosed() {
         Ok(_) => panic!("a future format version must not load"),
     }
     let _ = split;
+}
+
+/// Rewrites the first `from` in a checkpoint to the same-length `to`, so the
+/// header's manifest length and every weight digest stay valid.
+fn patch_manifest(mut bytes: Vec<u8>, from: &str, to: &str) -> Vec<u8> {
+    assert_eq!(from.len(), to.len(), "an in-place patch must keep the manifest length");
+    let at = bytes
+        .windows(from.len())
+        .position(|w| w == from.as_bytes())
+        .unwrap_or_else(|| panic!("{from} not found in the manifest"));
+    bytes[at..at + from.len()].copy_from_slice(to.as_bytes());
+    bytes
+}
+
+/// Loading `bytes` as `M` fails with a format error that names `field`.
+fn assert_invalid_config<M: Checkpointable>(bytes: &[u8], field: &str) {
+    match load_from_bytes::<M>(bytes) {
+        Err(CheckpointError::Format(msg)) => {
+            assert!(msg.contains(field), "{}: error does not name {field:?}: {msg}", M::KIND);
+        }
+        Err(e) => panic!("{}: wrong error for an invalid config: {e}", M::KIND),
+        Ok(_) => panic!("{}: a checkpoint with an invalid config loaded", M::KIND),
+    }
+}
+
+/// A manifest config that breaks a model's shape invariants (three heads
+/// for d = 16, a Caser filter taller than its window) is a format error,
+/// not a panic in the model constructor.
+#[test]
+fn invalid_manifest_configs_are_rejected() {
+    let (split, n) = setup();
+    let heads3 = |bytes| patch_manifest(bytes, "\"heads\":2", "\"heads\":3");
+    let sasrec = save_to_vec(&SasRec::new(enc(n), 7));
+    assert_invalid_config::<SasRec>(&heads3(sasrec), "heads");
+    let bert = save_to_vec(&Bert4Rec::new(Bert4RecConfig { encoder: enc(n), mask_prob: 0.3 }, 6));
+    assert_invalid_config::<Bert4Rec>(&heads3(bert), "heads");
+    let cl4srec = save_to_vec(&Cl4sRec::new(Cl4sRecConfig { encoder: enc(n), tau: 0.5 }, 8));
+    assert_invalid_config::<Cl4sRec>(&heads3(cl4srec), "heads");
+    let caser_cfg = CaserConfig {
+        num_items: n,
+        d: 16,
+        window: 4,
+        heights: vec![2, 3],
+        n_h: 4,
+        n_v: 2,
+        dropout: 0.1,
+    };
+    let caser = save_to_vec(&Caser::new(caser_cfg, split.num_users(), 4));
+    let tall = patch_manifest(caser, "\"heights\":[2,3]", "\"heights\":[2,5]");
+    assert_invalid_config::<Caser>(&tall, "heights");
 }
 
 fn small_checkpoint() -> Vec<u8> {

@@ -9,7 +9,9 @@
 //! engine, RNG, or optimizer change that alters training is caught here
 //! rather than showing up later as silent HR/NDCG drift. The fit-level
 //! scenarios (`FIT_GOLDENS`) do the same through each model's public fit
-//! entry point, one fixture per loop, recording per-epoch losses.
+//! entry point, one fixture per loop, recording per-epoch losses. Every
+//! `.golden` file under `tests/golden/` must belong to one of these
+//! scenarios, so a fixture cannot outlive the code it pinned.
 //!
 //! To regenerate after an *intentional* numerical change:
 //!
@@ -25,8 +27,17 @@ use seqrec_conformance::golden::{
 };
 use std::path::PathBuf;
 
+/// Fixture of the SASRec step scenario.
+const SASREC_FIXTURE: &str = "sasrec.golden";
+/// Fixture of the CL4SRec step scenario.
+const CL4SREC_FIXTURE: &str = "cl4srec.golden";
+
+fn fixture_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
 fn fixture_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
+    fixture_dir().join(name)
 }
 
 /// Explains the first divergence between two records in human terms.
@@ -113,7 +124,7 @@ fn check_golden(name: &str, run: impl Fn() -> GoldenRecord) {
 /// pins init, the forward/backward engine, Adam, and the dropout RNG stream.
 #[test]
 fn golden_sasrec_trajectory() {
-    check_golden("sasrec.golden", run_sasrec_golden);
+    check_golden(SASREC_FIXTURE, run_sasrec_golden);
 }
 
 /// CL4SRec: six Adam steps of the joint objective (Eq. 16, λ = 0.1) — pins
@@ -121,16 +132,40 @@ fn golden_sasrec_trajectory() {
 /// augmentation stream and the NT-Xent branch.
 #[test]
 fn golden_cl4srec_trajectory() {
-    check_golden("cl4srec.golden", run_cl4srec_golden);
+    check_golden(CL4SREC_FIXTURE, run_cl4srec_golden);
 }
 
 /// Every fit loop through its public entry point: three epochs on a tiny
 /// split with dropout and the validation probe on, per-epoch loss bits plus
-/// final parameter digests — pins shuffling, negative sampling, RNG order,
-/// tail-batch handling and the `data_parallel: 2` shard paths.
+/// final parameter digests — pins shuffling, negative sampling, RNG order
+/// and tail-batch handling.
 #[test]
 fn golden_fit_trajectories() {
     for (name, run) in FIT_GOLDENS {
         check_golden(name, run);
     }
+}
+
+/// No fixture lingers without a scenario that reads it: an orphan would
+/// look pinned while nothing checks it.
+#[test]
+fn every_fixture_has_a_scenario() {
+    let read: Vec<&str> = [SASREC_FIXTURE, CL4SREC_FIXTURE]
+        .into_iter()
+        .chain(FIT_GOLDENS.iter().map(|&(name, _)| name))
+        .collect();
+    let dir = fixture_dir();
+    let mut orphans: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
+        .map(|entry| entry.expect("readable directory entry").file_name())
+        .filter_map(|name| name.into_string().ok())
+        .filter(|name| name.ends_with(".golden") && !read.contains(&name.as_str()))
+        .collect();
+    orphans.sort();
+    assert!(
+        orphans.is_empty(),
+        "{} holds fixtures that no scenario reads: {orphans:?}. \
+         Delete them, or add their scenario to FIT_GOLDENS.",
+        dir.display()
+    );
 }
