@@ -6,12 +6,17 @@
 //! the final block runs its queries, attention row, output projection,
 //! LayerNorms and FFN at position `T-1` only. Its keys and values still
 //! cover all `T` positions.
+//!
+//! The `dropout` group times `Tape::dropout` alone at the paper's p = 0.2 on
+//! the two mask shapes a B = 256, T = 50, d = 64, h = 2 training view
+//! draws: activations `[B, T, d]` and attention weights `[B, h, T, T]`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seqrec_data::batch::pad_left;
 use seqrec_models::encoder::{EncoderConfig, TransformerEncoder};
-use seqrec_tensor::init::rng;
+use seqrec_tensor::init::{self, rng};
 use seqrec_tensor::nn::Step;
+use seqrec_tensor::Tape;
 use std::hint::black_box;
 
 fn make_batch(b: usize, t: usize, num_items: usize) -> (Vec<u32>, Vec<Vec<bool>>) {
@@ -60,5 +65,34 @@ fn bench_attention(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_attention);
+fn bench_dropout(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dropout");
+    group.sample_size(10);
+    for dims in [vec![256usize, 50, 64], vec![256, 2, 50, 50]] {
+        let id = dims.iter().map(usize::to_string).collect::<Vec<_>>().join("x");
+        let x = init::normal(dims, 1.0, &mut rng(2));
+        let mut r = rng(3);
+        group.bench_with_input(BenchmarkId::new("forward", &id), &x, |bench, x| {
+            bench.iter(|| {
+                let mut tape = Tape::new();
+                let v = tape.leaf(x.clone());
+                let y = tape.dropout(v, 0.2, true, &mut r);
+                black_box(tape.value(y).at(0));
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("forward_backward", &id), &x, |bench, x| {
+            bench.iter(|| {
+                let mut tape = Tape::new();
+                let v = tape.leaf(x.clone());
+                let y = tape.dropout(v, 0.2, true, &mut r);
+                let loss = tape.sum_all(y);
+                let grads = tape.backward(loss);
+                black_box(grads.get(v).is_some());
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_attention, bench_dropout);
 criterion_main!(benches);

@@ -54,8 +54,8 @@ impl CaserConfig {
         }
     }
 
-    /// Checks the shape invariants [`Caser::new`] relies on, describing the
-    /// first one the configuration breaks.
+    /// Checks the invariants [`Caser::new`] and the forward pass rely on,
+    /// describing the first one the configuration breaks.
     pub(crate) fn validate(&self) -> Result<(), String> {
         if self.num_items == 0 || self.d == 0 || self.window == 0 {
             return Err(format!(
@@ -74,6 +74,9 @@ impl CaserConfig {
         }
         if self.n_h == 0 || self.n_v == 0 {
             return Err(format!("n_h ({}) and n_v ({}) must be positive", self.n_h, self.n_v));
+        }
+        if !(0.0..1.0).contains(&self.dropout) {
+            return Err(format!("dropout {} outside [0, 1)", self.dropout));
         }
         Ok(())
     }
@@ -99,8 +102,9 @@ impl Caser {
     /// Builds an untrained model.
     ///
     /// # Panics
-    /// Panics if `cfg` breaks a shape invariant: every filter height must
-    /// lie in `1..=window`, and the sizes must be non-zero.
+    /// Panics if `cfg` breaks an invariant: every filter height must lie in
+    /// `1..=window`, the sizes must be non-zero, and `dropout` must lie in
+    /// `[0, 1)`.
     pub fn new(cfg: CaserConfig, num_users: usize, seed: u64) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid Caser config: {e}");

@@ -476,15 +476,14 @@ impl Checkpointable for Gru4Rec {
         snapshot_params(self)
     }
     fn from_manifest_config(cfg: &Value) -> Result<Self, CheckpointError> {
-        Ok(Gru4Rec::new(
-            Gru4RecConfig {
-                num_items: req_usize(cfg, "num_items")?,
-                d: req_usize(cfg, "d")?,
-                max_len: req_usize(cfg, "max_len")?,
-                dropout: req_f32(cfg, "dropout")?,
-            },
-            0,
-        ))
+        let cfg = Gru4RecConfig {
+            num_items: req_usize(cfg, "num_items")?,
+            d: req_usize(cfg, "d")?,
+            max_len: req_usize(cfg, "max_len")?,
+            dropout: req_f32(cfg, "dropout")?,
+        };
+        cfg.validate().map_err(invalid_config)?;
+        Ok(Gru4Rec::new(cfg, 0))
     }
     fn restore(&mut self, tensors: Vec<TensorData>) -> Result<(), CheckpointError> {
         restore_params(self, tensors)

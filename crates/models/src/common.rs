@@ -12,7 +12,7 @@ use seqrec_obs::ledger::RunLedger;
 use seqrec_tensor::dynamics::OptimStepStats;
 use seqrec_tensor::nn::{HasParams, Step};
 use seqrec_tensor::optim::{Adam, AdamConfig};
-use seqrec_tensor::Var;
+use seqrec_tensor::{Tape, Var};
 use serde::{Deserialize, Serialize};
 
 /// What a fit loop does when the loss, a gradient, an update or a
@@ -376,8 +376,13 @@ pub fn serial_step<M: HasParams + ?Sized>(
     let mut step = Step::new();
     let loss = loss(model, &mut step);
     let grads = step.tape.backward(loss);
+    let loss = step.tape.value(loss).item();
+    // Each parameter's tape leaf shares that parameter's buffer, so while
+    // the tape lives Adam's in-place update would copy every parameter
+    // first. `step` stays: its id still resolves `Param::grad`.
+    step.tape = Tape::default();
     let stats = adam.step_with_stats(model, &step, &grads);
-    (step.tape.value(loss).item(), stats)
+    (loss, stats)
 }
 
 /// `(user, positive, negative)` triples for a chunk of users: every
@@ -698,6 +703,37 @@ fn probe_valid_hr10(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoder::EncoderConfig;
+    use crate::sasrec::SasRec;
+    use seqrec_data::batch::next_item_batch;
+    use seqrec_tensor::init::rng;
+
+    /// Adam updates every parameter in place: no tape still shares a
+    /// parameter's buffer when the update runs, so no buffer is copied.
+    #[test]
+    fn serial_step_updates_parameters_in_place() {
+        let cfg =
+            EncoderConfig { num_items: 20, d: 8, heads: 2, layers: 1, max_len: 6, dropout: 0.1 };
+        let mut model = SasRec::new(cfg, 3);
+        let seqs: Vec<Vec<u32>> =
+            (0..4).map(|u| (0..6).map(|i| ((u + i) % 20) as u32 + 1).collect()).collect();
+        let refs: Vec<&[u32]> = seqs.iter().map(Vec::as_slice).collect();
+        let batch = next_item_batch(&refs, 6, &mut NegativeSampler::new(20, 1));
+        let buffers = |m: &SasRec| {
+            let mut v = Vec::new();
+            m.visit(&mut |p| v.push((p.value().data().as_ptr(), p.value().sum())));
+            v
+        };
+        let before = buffers(&model);
+        let mut adam = Adam::paper_default();
+        let mut r = rng(4);
+        serial_step(&mut model, &mut adam, |m, step| m.next_item_loss(step, &batch, true, &mut r));
+        let after = buffers(&model);
+        assert!(before.iter().zip(&after).any(|(b, a)| b.1 != a.1), "the step updated nothing");
+        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+            assert_eq!(b.0, a.0, "parameter {i} was copied to a new buffer");
+        }
+    }
 
     #[test]
     fn early_stopper_respects_patience() {

@@ -33,6 +33,21 @@ impl Gru4RecConfig {
     pub fn small(num_items: usize) -> Self {
         Gru4RecConfig { num_items, d: 64, max_len: 50, dropout: 0.1 }
     }
+
+    /// Checks the invariants [`Gru4Rec::new`] and the unrolled forward rely
+    /// on, describing the first one the configuration breaks.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.num_items == 0 || self.d == 0 || self.max_len == 0 {
+            return Err(format!(
+                "num_items ({}), d ({}) and max_len ({}) must be positive",
+                self.num_items, self.d, self.max_len
+            ));
+        }
+        if !(0.0..1.0).contains(&self.dropout) {
+            return Err(format!("dropout {} outside [0, 1)", self.dropout));
+        }
+        Ok(())
+    }
 }
 
 /// A single-layer GRU cell.
@@ -123,7 +138,14 @@ pub struct Gru4Rec {
 impl Gru4Rec {
     /// Builds an untrained model. The vocabulary reserves pad (0) and the
     /// `[mask]` slot for id-compatibility with the Transformer models.
+    ///
+    /// # Panics
+    /// Panics if `cfg` breaks an invariant: the catalog, `d` and `max_len`
+    /// must be non-empty, with `dropout` in `[0, 1)`.
     pub fn new(cfg: Gru4RecConfig, seed: u64) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid GRU4Rec config: {e}");
+        }
         let mut r = rng(seed);
         let item_emb = Embedding::new("gru.item", cfg.num_items + 2, cfg.d, &mut r);
         let cell = GruCell::new("gru.cell", cfg.d, &mut r);

@@ -15,3 +15,4 @@ mod softmax;
 mod window;
 
 pub use mask::{causal_padding_mask, padding_mask};
+pub use norm::DROPOUT_CHUNK;

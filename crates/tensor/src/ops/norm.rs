@@ -2,8 +2,20 @@
 
 use crate::init::TensorRng;
 use crate::tape::{Tape, Var};
-use crate::tensor::Tensor;
+use crate::tensor::{Buf, Tensor};
 use rand::Rng;
+use rayon::prelude::*;
+
+/// Mask elements one [`Tape::dropout`] work unit draws. Each chunk seeks its
+/// own rng clone to its first element's word, so this length sets how the
+/// draw is split across the pool, never a drawn bit.
+pub const DROPOUT_CHUNK: usize = 8 * 1024;
+
+/// Uniforms a dropout chunk draws before it applies them. Drawing a run
+/// first keeps the rng's buffer bookkeeping out of the select loop, which
+/// then vectorises; one fused draw-and-select loop took about twice as long
+/// per element.
+const DRAW_RUN: usize = 64;
 
 impl Tape {
     /// LayerNorm's normalisation core over the last dimension:
@@ -88,6 +100,14 @@ impl Tape {
     /// probability `p` and survivors are scaled by `1/(1-p)` so the expected
     /// activation is unchanged; at inference (`training == false`) it is the
     /// identity.
+    ///
+    /// Element `i` survives iff word `i` past the rng's current position,
+    /// read as `rng.gen::<f32>()`, is below `1 - p`. ChaCha is counter-mode,
+    /// so the mask is drawn in [`DROPOUT_CHUNK`]-element chunks on the pool,
+    /// each from a clone of `rng` seeked to its chunk's first word, and `rng`
+    /// then moves past the `n` words drawn. Output, gradient and the rng's
+    /// next draw are those of one serial pass at any pool size. The keep
+    /// mask is stored as one byte per element.
     pub fn dropout(&mut self, x: Var, p: f32, training: bool, rng: &mut TensorRng) -> Var {
         assert!((0.0..1.0).contains(&p), "dropout rate {p} outside [0, 1)");
         if !training || p == 0.0 {
@@ -98,11 +118,45 @@ impl Tape {
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
         let xv = self.value(x);
-        let mask: Vec<f32> =
-            (0..xv.len()).map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 }).collect();
-        let mask = Tensor::from_vec(xv.shape().clone(), mask);
-        let out = xv.mul(&mask);
-        self.push(out, vec![x], Some(Box::new(move |g: &Tensor| vec![g.mul(&mask)])))
+        let n = xv.len();
+        let base = rng.get_word_pos();
+        let mut out = vec![0.0f32; n];
+        let mut kept = vec![0u8; n];
+        let stream: &TensorRng = rng;
+        out.par_chunks_mut(DROPOUT_CHUNK)
+            .zip(kept.par_chunks_mut(DROPOUT_CHUNK))
+            .enumerate()
+            // `move` copies the captured scalars into the closure; captured
+            // by reference, the loop ran about 1.6 times slower per element.
+            .for_each(move |(c, (out, kept))| {
+                let start = c * DROPOUT_CHUNK;
+                let mut r = stream.clone();
+                r.set_word_pos(base + start as u128);
+                let x = &xv.data()[start..start + out.len()];
+                let mut draws = [0.0f32; DRAW_RUN];
+                let runs = out.chunks_mut(DRAW_RUN).zip(kept.chunks_mut(DRAW_RUN));
+                for ((out, kept), x) in runs.zip(x.chunks(DRAW_RUN)) {
+                    let draws = &mut draws[..out.len()];
+                    draws.iter_mut().for_each(|u| *u = r.gen::<f32>());
+                    for (((o, k), &v), &u) in out.iter_mut().zip(kept).zip(x).zip(&*draws) {
+                        let survives = u < keep;
+                        *k = u8::from(survives);
+                        *o = v * if survives { scale } else { 0.0 };
+                    }
+                }
+            });
+        rng.set_word_pos(base + n as u128);
+        let out = Tensor::from_vec(xv.shape().clone(), out);
+        let kept = Buf::new(kept);
+        self.push(
+            out,
+            vec![x],
+            Some(Box::new(move |g: &Tensor| {
+                let dx = g.data().iter().zip(kept.iter());
+                let dx = dx.map(|(&g, &k)| g * if k != 0 { scale } else { 0.0 }).collect();
+                vec![Tensor::from_vec(g.shape().clone(), dx)]
+            })),
+        )
     }
 }
 

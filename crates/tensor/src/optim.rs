@@ -152,7 +152,6 @@ impl Adam {
 
         model.visit_mut(&mut |p: &mut Param| {
             let Some(grad) = p.grad(step, grads) else { return };
-            let grad = grad.clone();
             let entry = state.entry(p.name().to_string()).or_insert_with(|| Moments {
                 m: Tensor::zeros(grad.shape().clone()),
                 v: Tensor::zeros(grad.shape().clone()),

@@ -13,8 +13,9 @@ use std::sync::Arc;
 
 use crate::shape::Shape;
 
-/// The backing buffer of a tensor. A thin newtype over `Vec<f32>` whose
-/// construction/clone/drop keep the process-wide
+/// The backing buffer of a tensor (`Buf<f32>`) or of a tensor-sized
+/// side buffer such as a dropout keep mask (`Buf<u8>`). A thin newtype over
+/// `Vec<T>` whose construction/clone/drop keep the process-wide
 /// [`seqrec_obs::metrics::TENSOR_LIVE_BYTES`] gauge (level + high-water
 /// mark) in sync with the bytes actually allocated. `Arc` sharing — tensor
 /// clones, reshapes — allocates nothing and is therefore not counted; only
@@ -36,21 +37,21 @@ use crate::shape::Shape;
 /// counts only live buffers). The limits: this is glibc only (other targets
 /// compile none of it), and a tensor above 32 MiB still gets its own
 /// `mmap`, which is unmapped on drop as before.
-pub(crate) struct Buf {
-    data: Vec<f32>,
+pub(crate) struct Buf<T = f32> {
+    data: Vec<T>,
     /// Lifetime-tracing id handed out by `seqrec_obs::mem` (0 when
     /// tracing was off at allocation time; its free is then a no-op).
     trace_id: u64,
 }
 
-impl Buf {
-    fn new(data: Vec<f32>) -> Self {
+impl<T> Buf<T> {
+    pub(crate) fn new(data: Vec<T>) -> Self {
         #[cfg(all(target_os = "linux", target_env = "gnu"))]
         {
             static PINNED: std::sync::Once = std::sync::Once::new();
             PINNED.call_once(pin_malloc_thresholds);
         }
-        let bytes = data.capacity() * 4;
+        let bytes = data.capacity() * std::mem::size_of::<T>();
         seqrec_obs::metrics::TENSOR_LIVE_BYTES.add(bytes as i64);
         let trace_id = seqrec_obs::mem::on_alloc(bytes);
         Buf { data, trace_id }
@@ -78,7 +79,7 @@ fn pin_malloc_thresholds() {
     }
 }
 
-impl Clone for Buf {
+impl<T: Clone> Clone for Buf<T> {
     fn clone(&self) -> Self {
         // Reached via `Arc::make_mut` on shared storage: a genuine new
         // allocation (the copy-on-write copy), so it is counted.
@@ -86,28 +87,28 @@ impl Clone for Buf {
     }
 }
 
-impl Drop for Buf {
+impl<T> Drop for Buf<T> {
     fn drop(&mut self) {
-        let bytes = self.data.capacity() * 4;
+        let bytes = self.data.capacity() * std::mem::size_of::<T>();
         seqrec_obs::metrics::TENSOR_LIVE_BYTES.add(-(bytes as i64));
         seqrec_obs::mem::on_free(self.trace_id, bytes);
     }
 }
 
-impl Deref for Buf {
-    type Target = Vec<f32>;
-    fn deref(&self) -> &Vec<f32> {
+impl<T> Deref for Buf<T> {
+    type Target = Vec<T>;
+    fn deref(&self) -> &Vec<T> {
         &self.data
     }
 }
 
-impl DerefMut for Buf {
-    fn deref_mut(&mut self) -> &mut Vec<f32> {
+impl<T> DerefMut for Buf<T> {
+    fn deref_mut(&mut self) -> &mut Vec<T> {
         &mut self.data
     }
 }
 
-impl PartialEq for Buf {
+impl<T: PartialEq> PartialEq for Buf<T> {
     fn eq(&self, other: &Self) -> bool {
         self.data == other.data
     }

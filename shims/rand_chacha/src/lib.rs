@@ -12,12 +12,19 @@
 //!   (low then high) with `BlockRng`'s exact block-boundary behaviour, so
 //!   interleaved 32/64-bit draws consume the stream like the real crate;
 //! * seeding goes through the `rand` shim's `SeedableRng`, whose
-//!   `seed_from_u64` is rand_core 0.6's PCG32 expansion bit for bit.
+//!   `seed_from_u64` is rand_core 0.6's PCG32 expansion bit for bit;
+//! * `get_word_pos` / `set_word_pos` follow rand_chacha 0.3: the position
+//!   is the number of 32-bit words handed out, and a seek sets the block
+//!   counter to `w / 16`, refills the buffer there and sets the index to
+//!   `w % 16`. ChaCha is a counter-mode cipher, so a seek costs one buffer
+//!   refill wherever it lands (`Tape::dropout` draws a mask's chunks in
+//!   parallel this way, each from its own seeked clone).
 //!
 //! The 20-round block function is pinned to the RFC 8439 appendix A.1
 //! keystream test vector; the 8- and 12-round variants differ only in the
-//! loop trip count. Unimplemented registry surface: `set_stream` /
-//! `set_word_pos` and `fill_bytes` (nothing in this workspace uses them).
+//! loop trip count. Unimplemented registry surface: `set_stream`,
+//! `get_stream`, `get_seed` and `fill_bytes` (nothing in this workspace
+//! uses them).
 
 use rand::{RngCore, SeedableRng};
 
@@ -92,6 +99,30 @@ macro_rules! chacha_rng {
                     self.state[13] = (counter >> 32) as u32;
                 }
                 self.index = offset;
+            }
+
+            /// The offset from the start of the stream, in 32-bit words:
+            /// how many words the generator has handed out (rand_chacha
+            /// 0.3's `get_word_pos`; a 68-bit value, since the block
+            /// counter is 64 bits and a block holds 16 words).
+            pub fn get_word_pos(&self) -> u128 {
+                let counter = u64::from(self.state[13]) << 32 | u64::from(self.state[12]);
+                // The counter is already past the buffered blocks.
+                let buf_start = counter.wrapping_sub(BUF_BLOCKS as u64);
+                let block = buf_start.wrapping_add((self.index / 16) as u64);
+                u128::from(block) * 16 + (self.index % 16) as u128
+            }
+
+            /// Seeks to word `word_offset` of the stream, so the next
+            /// `next_u32` returns that word (rand_chacha 0.3's
+            /// `set_word_pos`): the block counter becomes `word_offset /
+            /// 16`, the buffer is refilled from there and the index set to
+            /// `word_offset % 16`. Bits above the 68-bit period are ignored.
+            pub fn set_word_pos(&mut self, word_offset: u128) {
+                let block = (word_offset / 16) as u64;
+                self.state[12] = block as u32;
+                self.state[13] = (block >> 32) as u32;
+                self.refill((word_offset % 16) as usize);
             }
         }
 
@@ -211,6 +242,86 @@ mod tests {
             let lo = u64::from(d.next_u32());
             let hi = u64::from(d.next_u32());
             assert_eq!(c.next_u64(), lo | hi << 32);
+        }
+    }
+
+    /// Word `w` of the ChaCha8 stream seeded with `seed`, computed straight
+    /// from the block function at block counter `w / 16`.
+    fn word_at(seed: u64, w: u128) -> u32 {
+        let mut state = ChaCha8Rng::seed_from_u64(seed).state;
+        let block = (w / 16) as u64;
+        state[12] = block as u32;
+        state[13] = (block >> 32) as u32;
+        let mut out = [0u32; 16];
+        chacha_block(&state, 4, &mut out);
+        out[(w % 16) as usize]
+    }
+
+    /// A seek followed by draws yields the sequential stream from that word
+    /// on, across refills, at offsets inside a block, on block and buffer
+    /// boundaries, and with the counter's high word set (2³⁶ + 5 words is
+    /// block 2³²).
+    #[test]
+    fn seek_then_draw_matches_the_sequential_stream() {
+        const SEED: u64 = 5;
+        let mut sequential = ChaCha8Rng::seed_from_u64(SEED);
+        let stream: Vec<u32> = (0..1100).map(|_| sequential.next_u32()).collect();
+        for (w, &word) in stream.iter().enumerate().step_by(7) {
+            assert_eq!(word_at(SEED, w as u128), word, "block-function helper at word {w}");
+        }
+        for w in [0u128, 1, 15, 16, 17, 63, 64, 65, 1000, (1 << 36) + 5] {
+            let mut r = ChaCha8Rng::seed_from_u64(SEED);
+            r.next_u32(); // where the rng stood before the seek must not matter
+            r.set_word_pos(w);
+            assert_eq!(r.get_word_pos(), w);
+            // 80 words cross at least one refill after any seek.
+            for k in 0..80u128 {
+                let want =
+                    stream.get((w + k) as usize).copied().unwrap_or_else(|| word_at(SEED, w + k));
+                assert_eq!(r.next_u32(), want, "word {} after a seek to {w}", w + k);
+            }
+            assert_eq!(r.get_word_pos(), w + 80);
+        }
+    }
+
+    /// `get_word_pos` counts the words handed out through any mix of 32- and
+    /// 64-bit draws, including a `next_u64` that straddles a refill and one
+    /// that starts on an empty buffer; seeking back to the reported position
+    /// resumes the same stream.
+    #[test]
+    fn word_pos_counts_consumed_words() {
+        let mut r = ChaCha8Rng::seed_from_u64(11);
+        let mut consumed = 0u128;
+        assert_eq!(r.get_word_pos(), 0);
+        // 63 words leave the index on the buffer's last word: the next u64
+        // takes its low half from this buffer and its high half from the next.
+        // 61 more words plus a u64 empty the second buffer exactly, so the
+        // u64 after that refills first.
+        let draws = [(63, false), (0, true), (61, false), (0, true), (0, true), (5, false)];
+        for (words, wide) in draws {
+            for _ in 0..words {
+                r.next_u32();
+                consumed += 1;
+                assert_eq!(r.get_word_pos(), consumed);
+            }
+            if wide {
+                r.next_u64();
+                consumed += 2;
+                assert_eq!(r.get_word_pos(), consumed);
+            }
+        }
+        for i in 0..300u32 {
+            if i % 3 == 0 {
+                r.next_u64();
+                consumed += 2;
+            } else {
+                r.next_u32();
+                consumed += 1;
+            }
+            assert_eq!(r.get_word_pos(), consumed, "after draw {i}");
+            let mut resumed = ChaCha8Rng::seed_from_u64(11);
+            resumed.set_word_pos(r.get_word_pos());
+            assert_eq!(resumed.clone().next_u64(), r.clone().next_u64(), "after draw {i}");
         }
     }
 

@@ -132,9 +132,10 @@ fn assert_invalid_config<M: Checkpointable>(bytes: &[u8], field: &str) {
     }
 }
 
-/// A manifest config that breaks a model's shape invariants (three heads
-/// for d = 16, a Caser filter taller than its window) is a format error,
-/// not a panic in the model constructor.
+/// A manifest config that breaks a model's invariants (three heads for
+/// d = 16, a Caser filter taller than its window, a GRU4Rec unrolled over
+/// zero steps, a Caser dropout rate of 7.1) is a format error, not a panic
+/// in the model constructor or on the loaded model's first use.
 #[test]
 fn invalid_manifest_configs_are_rejected() {
     let (split, n) = setup();
@@ -155,8 +156,14 @@ fn invalid_manifest_configs_are_rejected() {
         dropout: 0.1,
     };
     let caser = save_to_vec(&Caser::new(caser_cfg, split.num_users(), 4));
-    let tall = patch_manifest(caser, "\"heights\":[2,3]", "\"heights\":[2,5]");
+    let tall = patch_manifest(caser.clone(), "\"heights\":[2,3]", "\"heights\":[2,5]");
     assert_invalid_config::<Caser>(&tall, "heights");
+    let loud = patch_manifest(caser, "\"dropout\":0.1", "\"dropout\":7.1");
+    assert_invalid_config::<Caser>(&loud, "dropout");
+    let gru_cfg = Gru4RecConfig { num_items: n, d: 16, max_len: 6, dropout: 0.1 };
+    let gru = save_to_vec(&Gru4Rec::new(gru_cfg, 5));
+    let unrolled_over_nothing = patch_manifest(gru, "\"max_len\":6", "\"max_len\":0");
+    assert_invalid_config::<Gru4Rec>(&unrolled_over_nothing, "max_len");
 }
 
 fn small_checkpoint() -> Vec<u8> {

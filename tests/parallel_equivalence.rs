@@ -1,12 +1,16 @@
 //! Parallel-vs-serial equivalence: pins the determinism contract of the
 //! multi-threaded training stack.
 //!
-//! Two claims are checked:
+//! Three claims are checked:
 //! 1. Augmented contrastive batches are **bit-exact** across pool sizes —
 //!    per-sequence ChaCha substreams make the sampled views a function of
 //!    `(aug_base, sequence index)` only, never of worker count.
 //! 2. The banded embedding-gradient scatter is **bit-exact** across pool
 //!    sizes (destination banding preserves per-row add order).
+//! 3. Dropout masks are **bit-exact** across pool sizes: each chunk of a
+//!    mask draws from a clone of the caller's ChaCha8 stream seeked to the
+//!    chunk's first word, so the mask and the stream position afterwards
+//!    are those of one serial draw.
 
 use cp4rec_repro::cl4srec::{AugmentationSet, Cl4sRec, Cl4sRecConfig};
 use cp4rec_repro::data::{Dataset, Split};
@@ -14,6 +18,8 @@ use cp4rec_repro::models::EncoderConfig;
 use cp4rec_repro::tensor::init::rng;
 use cp4rec_repro::tensor::nn::Step;
 use proptest::prelude::*;
+use rand::RngCore;
+use seqrec_conformance::oracle;
 
 fn pool(n: usize) -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new().num_threads(n).build().expect("pool builds")
@@ -53,6 +59,52 @@ fn augmented_batches_are_bit_exact_across_pool_sizes() {
         assert_eq!(serial.to_bits(), par.to_bits(), "seed {seed} diverged");
         // and the substream really keys the result: a different base moves it
         assert_ne!(serial.to_bits(), loss_of(seed ^ 1).to_bits());
+    }
+}
+
+/// Claim 3: on pools of 1, 2 and 4 workers, `Tape::dropout`'s output and
+/// gradient equal `oracle::dropout_mask`'s serial draw bit for bit, for
+/// sizes below, at, just above and several times the chunk length, and the
+/// rng's next draw equals the oracle rng's. The stream starts off a block
+/// boundary, and two masks are drawn back to back, so a chunk seeked to the
+/// wrong word or a rng left where the draw began both show.
+#[test]
+fn dropout_masks_are_bit_exact_across_pool_sizes() {
+    use cp4rec_repro::tensor::ops::DROPOUT_CHUNK;
+    use cp4rec_repro::tensor::{init, Tape, Tensor};
+    let c = DROPOUT_CHUNK;
+    let sizes = [1, 100, c - 1, c, c + 1, 3 * c + 17];
+    let bits = |t: &Tensor| t.data().iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+    for threads in [1, 2, 4] {
+        pool(threads).install(|| {
+            for (i, &n) in sizes.iter().enumerate() {
+                let x = init::normal([n], 1.0, &mut rng(i as u64));
+                let upstream = init::normal([n], 1.0, &mut rng(100 + i as u64));
+                let (mut engine_rng, mut oracle_rng) = (rng(7), rng(7));
+                for _ in 0..5 {
+                    engine_rng.next_u32();
+                    oracle_rng.next_u32();
+                }
+                for p in [0.2f32, 0.5] {
+                    let mut t = Tape::new();
+                    let vx = t.leaf(x.clone());
+                    let y = t.dropout(vx, p, true, &mut engine_rng);
+                    let weighted = t.mul_const(y, &upstream);
+                    let loss = t.sum_all(weighted);
+                    let grads = t.backward(loss);
+                    let mask = Tensor::from_vec([n], oracle::dropout_mask(n, p, &mut oracle_rng));
+                    let what = format!("{threads} workers, n = {n}, p = {p}");
+                    assert_eq!(bits(t.value(y)), bits(&x.mul(&mask)), "output, {what}");
+                    assert_eq!(
+                        bits(grads.get(vx).unwrap()),
+                        bits(&upstream.mul(&mask)),
+                        "gradient, {what}"
+                    );
+                }
+                let what = format!("{threads} workers, n = {n}");
+                assert_eq!(engine_rng.next_u32(), oracle_rng.next_u32(), "next draw, {what}");
+            }
+        });
     }
 }
 
