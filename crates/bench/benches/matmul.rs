@@ -21,6 +21,12 @@
 //! * output projection `[B·T, d]·[d, |V|]` → nn 3200×64×4096 (acceptance
 //!   shape 512×64×4096 kept as well),
 //! * NT-Xent similarity `[2N, d]·[2N, d]ᵀ` → nt 512×64×512.
+//!
+//! The encoder's linear layers, applied to one augmented view of a
+//! pre-training batch (256 sequences × 50 positions = 12,800 tokens,
+//! d = 64), add a blocked-only pair: the forward `x·W` (nn 12800×64×64) and
+//! its weight gradient `xᵀ·g` (tn 64×12800×64), the shape the engine splits
+//! into one row band per worker.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use seqrec_bench::seed_matmul;
@@ -105,6 +111,24 @@ fn bench_matmul(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("seed_nt", &id), &m, |bench, _| {
             bench.iter(|| seed_matmul::matmul_nt(black_box(&z1), black_box(&z2)));
+        });
+    }
+
+    // Encoder linear layer: forward x·W and weight gradient xᵀ·g over the
+    // 12,800 tokens of one pre-training view. Blocked only: these arms time
+    // the engine's two schedules, not a speedup over the seed kernels.
+    {
+        let (tokens, d) = (12_800usize, 64usize);
+        let (x, w) = pair(tokens, d, d, 6);
+        let g = uniform([tokens, d], -1.0, 1.0, &mut rng(7));
+        group.throughput(Throughput::Elements(flops2d(tokens, d, d)));
+        let id = dims_id(&[tokens, d, d]);
+        group.bench_with_input(BenchmarkId::new("blocked_nn", &id), &tokens, |bench, _| {
+            bench.iter(|| linalg::matmul_nn(black_box(&x), black_box(&w)));
+        });
+        let id = dims_id(&[d, tokens, d]);
+        group.bench_with_input(BenchmarkId::new("blocked_tn", &id), &tokens, |bench, _| {
+            bench.iter(|| linalg::matmul_tn(black_box(&x), black_box(&g)));
         });
     }
     group.finish();

@@ -92,20 +92,13 @@ proptest! {
     }
 
     #[test]
-    fn diff_bias_and_broadcast(seed in 0u64..1_000_000, b in 1usize..5, tt in 1usize..7, d in 1usize..9) {
+    fn diff_broadcast_batch(seed in 0u64..1_000_000, b in 1usize..5, tt in 1usize..7, d in 1usize..9) {
         let x = data(seed, b * tt * d);
-        let bias = data(seed ^ 1, d);
         let m = data(seed ^ 2, tt * d);
         let mut t = Tape::new();
-        let vx2 = leaf(&mut t, [b * tt, d], &x);
-        let vbias = leaf(&mut t, [d], &bias);
         let vx3 = leaf(&mut t, [b, tt, d], &x);
         let vm = leaf(&mut t, [tt, d], &m);
-        let ab = t.add_bias(vx2, vbias);
-        let mb = t.mul_bias(vx2, vbias);
         let bc = t.add_broadcast_batch(vx3, vm);
-        assert_bits("add_bias", t.value(ab).data(), &oracle::add_bias(&x, &bias, d));
-        assert_bits("mul_bias", t.value(mb).data(), &oracle::mul_bias(&x, &bias, d));
         assert_bits("add_broadcast_batch", t.value(bc).data(), &oracle::add_broadcast_batch(&x, &m, b, tt, d));
     }
 
@@ -258,9 +251,9 @@ proptest! {
         let va = leaf(&mut t, [m, k], &a);
         let vb = leaf(&mut t, [k, n], &b);
         let vbt = leaf(&mut t, [n, k], &bt);
-        let nn = t.matmul(va, vb);
+        let nn = t.linear(va, vb, None);
         let nt = t.matmul_nt(va, vbt);
-        assert_close("matmul", t.value(nn).data(), &oracle::matmul_nn(&a, &b, m, k, n), 1e-4);
+        assert_close("linear", t.value(nn).data(), &oracle::matmul_nn(&a, &b, m, k, n), 1e-4);
         assert_close("matmul_nt", t.value(nt).data(), &oracle::matmul_nt(&a, &bt, m, k, n), 1e-4);
     }
 
@@ -280,16 +273,25 @@ proptest! {
     }
 
     #[test]
-    fn diff_matmul_last_and_reshape(seed in 0u64..1_000_000, b in 1usize..4, tt in 1usize..6, k in 1usize..10, n in 1usize..10) {
+    fn diff_linear_and_reshape(seed in 0u64..1_000_000, b in 1usize..4, tt in 1usize..6, k in 1usize..10, n in 1usize..10) {
         let x = data(seed, b * tt * k);
         let w = data(seed ^ 16, k * n);
+        let bias = data(seed ^ 1, n);
         let mut t = Tape::new();
         let vx = leaf(&mut t, [b, tt, k], &x);
         let vw = leaf(&mut t, [k, n], &w);
-        let ml = t.matmul_last(vx, vw);
+        let vb = leaf(&mut t, [n], &bias);
+        let plain = t.linear(vx, vw, None);
+        let biased = t.linear(vx, vw, Some(vb));
         let rs = t.reshape(vx, [b * tt, k]);
-        // matmul_last is matmul on the flattened batch
-        assert_close("matmul_last", t.value(ml).data(), &oracle::matmul_nn(&x, &w, b * tt, k, n), 1e-4);
+        // linear is matmul on the flattened batch, then a per-row bias add
+        let mm = oracle::matmul_nn(&x, &w, b * tt, k, n);
+        assert_close("linear", t.value(plain).data(), &mm, 1e-4);
+        assert_close("linear+bias", t.value(biased).data(), &oracle::add_bias(&mm, &bias, n), 1e-4);
+        // the in-place bias add is exactly the oracle's add over the GEMM output
+        let added = oracle::add_bias(t.value(plain).data(), &bias, n);
+        assert_bits("linear bias add", t.value(biased).data(), &added);
+        prop_assert_eq!(t.value(biased).shape().dims(), &[b, tt, n]);
         assert_bits("reshape", t.value(rs).data(), &x);
         prop_assert_eq!(t.value(rs).shape().dims(), &[b * tt, k]);
     }
@@ -303,11 +305,24 @@ proptest! {
     #[test]
     fn diff_norms(seed in 0u64..1_000_000, n in 1usize..9, d in 1usize..17) {
         let x = data(seed, n * d);
+        let gain = data(seed ^ 1, d);
+        let shift = data(seed ^ 2, d);
         let mut t = Tape::new();
         let vx = leaf(&mut t, [n, d], &x);
-        let ln = t.layernorm(vx, 1e-5);
+        let unit = leaf(&mut t, [d], &vec![1.0; d]);
+        let zero = leaf(&mut t, [d], &vec![0.0; d]);
+        let vg = leaf(&mut t, [d], &gain);
+        let vs = leaf(&mut t, [d], &shift);
+        let core = t.layernorm(vx, unit, zero, 1e-5);
+        let ln = t.layernorm(vx, vg, vs, 1e-5);
         let nr = t.normalize_rows(vx, 1e-6);
-        assert_close("layernorm", t.value(ln).data(), &oracle::layernorm(&x, d, 1e-5), 1e-4);
+        let oracle_core = oracle::layernorm(&x, d, 1e-5);
+        let oracle_ln = oracle::add_bias(&oracle::mul_bias(&oracle_core, &gain, d), &shift, d);
+        assert_close("layernorm core", t.value(core).data(), &oracle_core, 1e-4);
+        assert_close("layernorm", t.value(ln).data(), &oracle_ln, 1e-4);
+        // gain then shift, per element, exactly as the oracle applies them
+        let affine = oracle::add_bias(&oracle::mul_bias(t.value(core).data(), &gain, d), &shift, d);
+        assert_bits("layernorm gain and shift", t.value(ln).data(), &affine);
         assert_close("normalize_rows", t.value(nr).data(), &oracle::normalize_rows(&x, d, 1e-6), 1e-5);
     }
 

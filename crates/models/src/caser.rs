@@ -166,7 +166,7 @@ impl Caser {
         // vertical convolution: [B,d,L] · [L,n_v] → [B, d*n_v]
         let et = step.tape.transpose12(e);
         let vf = self.v_filters.var(step);
-        let vert = step.tape.matmul_last(et, vf);
+        let vert = step.tape.linear(et, vf, None);
         let vert = step.tape.reshape(vert, [b, d * self.cfg.n_v]);
         let conv = step.tape.concat_last(feats.expect("≥1 height"), vert);
         let conv = step.tape.dropout(conv, self.cfg.dropout, training, r);

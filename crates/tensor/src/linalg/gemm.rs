@@ -22,9 +22,23 @@
 //! the shared read-only `bpack` is packed once per `(jc, pc)` by the
 //! calling thread.
 //!
+//! That schedule leaves workers idle when `C` has fewer `MC`-row blocks
+//! than the pool has workers, and it forks and joins once per depth block.
+//! A weight gradient `xᵀ·g` (`m = n = d`, `k` = every token of the batch)
+//! is exactly that shape. So when `C` has fewer `MC`-row blocks than the
+//! pool has workers and `k` spans several `KC` blocks, [`gemm`] cuts `C`
+//! into one `MR`-aligned row band per worker instead, and each band's task
+//! runs the whole `jc → pc` loop itself, packing its own B-blocks: one
+//! fork and join per call. The rule reads only the shapes and the pool
+//! size.
+//!
 //! The first depth block (`pc == 0`) stores tiles, later blocks accumulate
 //! — `C` is never pre-zeroed and partial sums round-trip through memory at
-//! most `⌈k/KC⌉ - 1` times.
+//! most `⌈k/KC⌉ - 1` times. Under either schedule every element of `C` is
+//! the same `KC` blocks, added in order, each through the same
+//! microkernel, and a microkernel lane depends only on its own row and
+//! column. So the bits of a row depend neither on the pool size nor on
+//! which band or tile the row landed in.
 
 use rayon::prelude::*;
 
@@ -80,50 +94,72 @@ pub fn gemm(m: usize, k: usize, n: usize, a: MatRef<'_>, b: MatRef<'_>, out: &mu
     assert!(a.offset(m - 1, k - 1) < a.data.len(), "gemm A view out of bounds");
     assert!(b.offset(k - 1, n - 1) < b.data.len(), "gemm B view out of bounds");
 
+    let workers = if k > KC { rayon::current_num_threads() } else { 1 };
+    if m.div_ceil(MC) < workers {
+        // `m ≤ MC·(workers - 1)` here, so a band is at most `MC` rows.
+        let band = m.div_ceil(workers).next_multiple_of(MR);
+        out.par_chunks_mut(band * n).enumerate().for_each(|(ib, c_rows)| {
+            let mc = c_rows.len() / n;
+            for jc in (0..n).step_by(NC) {
+                let nc = (n - jc).min(NC);
+                for pc in (0..k).step_by(KC) {
+                    let kc = (k - pc).min(KC);
+                    scratch::with_pack_b(pack::packed_b_len(kc, nc), |bpack| {
+                        pack::pack_b(&b, pc, jc, kc, nc, bpack);
+                        macro_tile(&a, ib * band, mc, pc, kc, nc, n, jc, bpack, c_rows);
+                    });
+                }
+            }
+        });
+        return;
+    }
+
     for jc in (0..n).step_by(NC) {
         let nc = (n - jc).min(NC);
         for pc in (0..k).step_by(KC) {
             let kc = (k - pc).min(KC);
-            let first = pc == 0;
             scratch::with_pack_b(pack::packed_b_len(kc, nc), |bpack| {
                 pack::pack_b(&b, pc, jc, kc, nc, bpack);
                 let bpack = &*bpack;
                 out.par_chunks_mut(MC * n).enumerate().for_each(|(ib, c_rows)| {
                     let mc = c_rows.len() / n;
-                    scratch::with_pack_a(pack::packed_a_len(mc, kc), |apack| {
-                        pack::pack_a(&a, ib * MC, pc, mc, kc, apack);
-                        macro_tile(mc, nc, kc, n, jc, apack, bpack, c_rows, first);
-                    });
+                    macro_tile(&a, ib * MC, mc, pc, kc, nc, n, jc, bpack, c_rows);
                 });
             });
         }
     }
 }
 
-/// Sweeps the `mc×nc` macro-tile of `C` with the register microkernel.
-/// `c_rows` is the full `mc×ldc` row band; the tile starts at column `jc`.
+/// Packs `A[ic..ic+mc, pc..pc+kc]` into this thread's A-buffer and sweeps
+/// the `mc×nc` macro-tile at column `jc` of the `mc×ldc` row band `c_rows`
+/// against the packed B-block `bpack` with the register microkernel. The
+/// first depth block (`pc == 0`) stores, later ones accumulate.
 #[allow(clippy::too_many_arguments)]
 fn macro_tile(
+    a: &MatRef<'_>,
+    ic: usize,
     mc: usize,
-    nc: usize,
+    pc: usize,
     kc: usize,
+    nc: usize,
     ldc: usize,
     jc: usize,
-    apack: &[f32],
     bpack: &[f32],
     c_rows: &mut [f32],
-    first: bool,
 ) {
-    for jr in (0..nc).step_by(NR) {
-        let nr = (nc - jr).min(NR);
-        let bpanel = &bpack[(jr / NR) * NR * kc..];
-        for ir in (0..mc).step_by(MR) {
-            let mr = (mc - ir).min(MR);
-            let apanel = &apack[(ir / MR) * MR * kc..];
-            let c_tile = &mut c_rows[ir * ldc + jc + jr..];
-            micro::tile(kc, apanel, bpanel, c_tile, ldc, mr, nr, !first);
+    scratch::with_pack_a(pack::packed_a_len(mc, kc), |apack| {
+        pack::pack_a(a, ic, pc, mc, kc, apack);
+        for jr in (0..nc).step_by(NR) {
+            let nr = (nc - jr).min(NR);
+            let bpanel = &bpack[(jr / NR) * NR * kc..];
+            for ir in (0..mc).step_by(MR) {
+                let mr = (mc - ir).min(MR);
+                let apanel = &apack[(ir / MR) * MR * kc..];
+                let c_tile = &mut c_rows[ir * ldc + jc + jr..];
+                micro::tile(kc, apanel, bpanel, c_tile, ldc, mr, nr, pc != 0);
+            }
         }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -179,6 +215,19 @@ mod tests {
         check(MC, KC + 7, NR);
         check(MC + 5, KC * 2 + 1, 40);
         check(130, 300, 70);
+    }
+
+    #[test]
+    fn per_worker_bands_match_reference() {
+        // Fewer MC-blocks than workers and several KC blocks: one band per
+        // worker, including a band narrower than MR and fewer bands than
+        // workers (m = 1 and m = MR + 1).
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        pool.install(|| {
+            for m in [1, MR + 1, 64, 2 * MC] {
+                check(m, 2 * KC + 3, NR + 1);
+            }
+        });
     }
 
     #[test]

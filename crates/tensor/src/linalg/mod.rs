@@ -27,7 +27,11 @@
 //! * **Threading**: within each `(jc, pc)` block, row bands of `C`
 //!   (`MC` rows each) are distributed over rayon workers via
 //!   `par_chunks_mut` — disjoint output regions, no locks, no unsafe
-//!   aliasing. Workers pack their own A panels into thread-local scratch
+//!   aliasing. When `C` has fewer `MC`-row bands than the pool has
+//!   workers and the depth spans several `KC` blocks (the weight-gradient
+//!   shape `xᵀ·g`), `C` is cut into one `MR`-aligned band per worker and
+//!   each band runs the whole depth loop, so the call forks and joins
+//!   once. Workers pack their own panels into thread-local scratch
 //!   (`scratch`), so steady-state GEMM performs **zero allocation**.
 //!   The in-tree rayon shim is a real work-stealing pool sized by
 //!   `SEQREC_THREADS` / available parallelism (`shims/README.md`);

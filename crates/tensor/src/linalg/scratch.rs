@@ -1,7 +1,8 @@
 //! Thread-local scratch buffers for packed panels.
 //!
 //! Packing needs an `MC×KC` A-buffer per worker thread and a `KC×NC`
-//! B-buffer per GEMM call. Allocating those inside the blocking loops would
+//! B-buffer per GEMM call (per row band when each worker runs its own
+//! depth loop). Allocating those inside the blocking loops would
 //! put `malloc` on the hot path of every k-block; instead each thread keeps
 //! its buffers alive in a thread-local pool, so steady-state GEMM does zero
 //! allocation (buffers only grow, on first use or when a larger blocking

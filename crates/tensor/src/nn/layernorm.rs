@@ -24,11 +24,9 @@ impl LayerNorm {
 
     /// Applies the layer on the step's tape.
     pub fn forward(&self, step: &mut Step, x: Var) -> Var {
-        let normed = step.tape.layernorm(x, self.eps);
         let g = self.gamma.var(step);
         let b = self.beta.var(step);
-        let scaled = step.tape.mul_bias(normed, g);
-        step.tape.add_bias(scaled, b)
+        step.tape.layernorm(x, g, b, self.eps)
     }
 }
 

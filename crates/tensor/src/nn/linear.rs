@@ -50,14 +50,8 @@ impl Linear {
     /// Applies the layer on the step's tape.
     pub fn forward(&self, step: &mut Step, x: Var) -> Var {
         let w = self.weight.var(step);
-        let y = step.tape.matmul_last(x, w);
-        match &self.bias {
-            Some(b) => {
-                let bv = b.var(step);
-                step.tape.add_bias(y, bv)
-            }
-            None => y,
-        }
+        let b = self.bias.as_ref().map(|b| b.var(step));
+        step.tape.linear(x, w, b)
     }
 }
 

@@ -1,6 +1,5 @@
 //! Elementwise arithmetic, broadcasts, and reductions on the tape.
 
-use crate::shape::Shape;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
@@ -46,57 +45,6 @@ impl Tape {
         self.push(out, vec![a], Some(Box::new(move |g: &Tensor| vec![g.mul(&c)])))
     }
 
-    /// Broadcast-adds a `[d]` bias to every length-`d` row of `x`
-    /// (any shape whose last dimension is `d`). Gradient to the bias is the
-    /// row-sum of the incoming gradient.
-    pub fn add_bias(&mut self, x: Var, bias: Var) -> Var {
-        let xv = self.value(x);
-        let bv = self.value(bias);
-        assert_eq!(bv.shape().rank(), 1, "bias must be rank 1, got {}", bv.shape());
-        let d = bv.shape().dim(0);
-        assert_eq!(xv.shape().last_dim(), d, "bias dim {d} does not match rows of {}", xv.shape());
-        let mut out = xv.clone();
-        for row in out.data_mut().chunks_mut(d) {
-            for (o, &b) in row.iter_mut().zip(bv.data()) {
-                *o += b;
-            }
-        }
-        self.push(
-            out,
-            vec![x, bias],
-            Some(Box::new(move |g: &Tensor| vec![g.clone(), reduce_rows(g, d)])),
-        )
-    }
-
-    /// Broadcast-multiplies every length-`d` row of `x` by a `[d]` vector
-    /// (LayerNorm gain). `dgamma = Σ_rows g∘x`, `dx = g∘gamma`.
-    pub fn mul_bias(&mut self, x: Var, gamma: Var) -> Var {
-        let xv = self.value(x).clone();
-        let gv = self.value(gamma).clone();
-        assert_eq!(gv.shape().rank(), 1, "gain must be rank 1, got {}", gv.shape());
-        let d = gv.shape().dim(0);
-        assert_eq!(xv.shape().last_dim(), d);
-        let mut out = xv.clone();
-        for row in out.data_mut().chunks_mut(d) {
-            for (o, &m) in row.iter_mut().zip(gv.data()) {
-                *o *= m;
-            }
-        }
-        self.push(
-            out,
-            vec![x, gamma],
-            Some(Box::new(move |g: &Tensor| {
-                let mut dx = g.clone();
-                for row in dx.data_mut().chunks_mut(d) {
-                    for (o, &m) in row.iter_mut().zip(gv.data()) {
-                        *o *= m;
-                    }
-                }
-                vec![dx, reduce_rows(&g.mul(&xv), d)]
-            })),
-        )
-    }
-
     /// Broadcast-adds a `[T, d]` matrix to every batch of a `[B, T, d]`
     /// tensor (learnable positional embeddings). Gradient to the matrix is
     /// the sum over batches.
@@ -108,14 +56,12 @@ impl Tape {
         let (b, t, d) = (xv.shape().dim(0), xv.shape().dim(1), xv.shape().dim(2));
         assert_eq!(mv.shape().dims(), &[t, d], "positional shape mismatch");
         let stride = t * d;
-        let mut out = xv.clone();
-        for batch in out.data_mut().chunks_mut(stride) {
-            for (o, &p) in batch.iter_mut().zip(mv.data()) {
-                *o += p;
-            }
+        let mut out = Vec::with_capacity(xv.len());
+        for batch in xv.data().chunks(stride) {
+            out.extend(batch.iter().zip(mv.data()).map(|(&v, &p)| v + p));
         }
         self.push(
-            out,
+            Tensor::from_vec(xv.shape().clone(), out),
             vec![x, m],
             Some(Box::new(move |g: &Tensor| {
                 let mut dm = vec![0.0f32; stride];
@@ -187,20 +133,10 @@ impl Tape {
     }
 }
 
-/// Sums a tensor's length-`d` rows into a single `[d]` vector.
-fn reduce_rows(g: &Tensor, d: usize) -> Tensor {
-    let mut out = vec![0.0f32; d];
-    for row in g.data().chunks(d) {
-        for (o, &v) in out.iter_mut().zip(row) {
-            *o += v;
-        }
-    }
-    Tensor::from_vec(Shape::from(vec![d]), out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shape::Shape;
 
     fn leaf(tape: &mut Tape, shape: impl Into<Shape>, data: Vec<f32>) -> Var {
         tape.leaf(Tensor::from_vec(shape, data))
@@ -228,31 +164,6 @@ mod tests {
         let g = t.backward(s);
         assert_eq!(g.get(a).unwrap().data(), &[5.0, 7.0]);
         assert_eq!(g.get(b).unwrap().data(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn bias_gradient_reduces_over_rows() {
-        let mut t = Tape::new();
-        let x = leaf(&mut t, [2, 3], vec![0.0; 6]);
-        let b = leaf(&mut t, [3], vec![1.0, 2.0, 3.0]);
-        let y = t.add_bias(x, b);
-        assert_eq!(t.value(y).data(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
-        let s = t.sum_all(y);
-        let g = t.backward(s);
-        assert_eq!(g.get(b).unwrap().data(), &[2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn mul_bias_forward_and_grads() {
-        let mut t = Tape::new();
-        let x = leaf(&mut t, [2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let gamma = leaf(&mut t, [2], vec![10.0, 100.0]);
-        let y = t.mul_bias(x, gamma);
-        assert_eq!(t.value(y).data(), &[10.0, 200.0, 30.0, 400.0]);
-        let s = t.sum_all(y);
-        let g = t.backward(s);
-        assert_eq!(g.get(gamma).unwrap().data(), &[4.0, 6.0]); // Σx per column
-        assert_eq!(g.get(x).unwrap().data(), &[10.0, 100.0, 10.0, 100.0]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fused loss ops.
 
-use crate::ops::softmax::softmax_row;
+use crate::ops::softmax::softmax_rows;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
@@ -22,10 +22,7 @@ impl Tape {
         assert!(targets.iter().all(|&t| (t as usize) < c), "target class out of range 0..{c}");
 
         // Probabilities are saved for the backward pass.
-        let mut probs = lv.clone();
-        for row in probs.data_mut().chunks_mut(c) {
-            softmax_row(row);
-        }
+        let probs = Tensor::from_vec([n, c], softmax_rows(lv.data(), c));
         let losses: Vec<f32> = probs
             .data()
             .chunks(c)

@@ -16,3 +16,17 @@ mod window;
 
 pub use mask::{causal_padding_mask, padding_mask};
 pub use norm::DROPOUT_CHUNK;
+
+use crate::tensor::Tensor;
+
+/// Sums a tensor's length-`d` rows, in row order, into one `[d]` vector:
+/// the gradient of a per-row broadcast bias.
+fn reduce_rows(g: &Tensor, d: usize) -> Tensor {
+    let mut out = vec![0.0f32; d];
+    for row in g.data().chunks(d) {
+        for (o, &v) in out.iter_mut().zip(row) {
+            *o += v;
+        }
+    }
+    Tensor::from_vec([d], out)
+}

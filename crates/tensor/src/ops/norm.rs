@@ -1,5 +1,6 @@
 //! Normalisation ops: LayerNorm, row L2-normalisation, dropout.
 
+use super::reduce_rows;
 use crate::init::TensorRng;
 use crate::tape::{Tape, Var};
 use crate::tensor::{Buf, Tensor};
@@ -18,43 +19,61 @@ pub const DROPOUT_CHUNK: usize = 8 * 1024;
 const DRAW_RUN: usize = 64;
 
 impl Tape {
-    /// LayerNorm's normalisation core over the last dimension:
-    /// `y = (x - μ) / sqrt(var + eps)` per row. The learnable gain/shift are
-    /// composed outside via [`Tape::mul_bias`] / [`Tape::add_bias`].
+    /// LayerNorm over the last dimension, one node:
+    /// `y = ((x - μ)·σ⁻¹)·γ + β` per row, `σ = sqrt(var + eps)`, with gain
+    /// `γ` and shift `β` shaped `[d]`. The node keeps its output, the
+    /// normalised rows `n = (x - μ)·σ⁻¹` and one `σ⁻¹` per row for the
+    /// backward.
     ///
-    /// Backward (per row, `σ = sqrt(var + eps)`):
-    /// `dx = (g - mean(g) - y·mean(g∘y)) / σ`.
-    pub fn layernorm(&mut self, x: Var, eps: f32) -> Var {
+    /// Backward (per row, `g' = g∘γ`):
+    /// `dx = (g' - mean(g') - n·mean(g'∘n))·σ⁻¹`, `dγ = Σ_rows g∘n`,
+    /// `dβ = Σ_rows g`.
+    pub fn layernorm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
         let xv = self.value(x);
+        let gain = self.value(gamma).clone();
+        let shift = self.value(beta);
         let d = xv.shape().last_dim();
         assert!(d > 0, "layernorm over empty dimension");
-        let mut out = xv.clone();
+        assert_eq!(gain.shape().dims(), &[d], "layernorm gain {} for rows of {d}", gain.shape());
+        assert_eq!(shift.shape().dims(), &[d], "layernorm shift {} for rows of {d}", shift.shape());
+        let mut normed = Vec::with_capacity(xv.len());
+        let mut out = Vec::with_capacity(xv.len());
         let mut inv_sigmas = Vec::with_capacity(xv.shape().rows());
-        for row in out.data_mut().chunks_mut(d) {
+        for row in xv.data().chunks(d) {
             let mean = row.iter().sum::<f32>() / d as f32;
             let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
             let inv_sigma = 1.0 / (var + eps).sqrt();
             inv_sigmas.push(inv_sigma);
-            for v in row.iter_mut() {
-                *v = (*v - mean) * inv_sigma;
-            }
+            let start = normed.len();
+            normed.extend(row.iter().map(|&v| (v - mean) * inv_sigma));
+            let affine = normed[start..].iter().zip(gain.data()).zip(shift.data());
+            out.extend(affine.map(|((&n, &g), &b)| n * g + b));
         }
-        let y = out.clone();
+        let shape = xv.shape().clone();
+        let normed = Tensor::from_vec(shape.clone(), normed);
         self.push(
-            out,
-            vec![x],
+            Tensor::from_vec(shape.clone(), out),
+            vec![x, gamma, beta],
             Some(Box::new(move |g: &Tensor| {
-                let mut dx = g.clone();
-                let rows = dx.data_mut().chunks_mut(d);
-                for ((grow, yrow), &inv_sigma) in rows.zip(y.data().chunks(d)).zip(&inv_sigmas) {
-                    let gmean = grow.iter().sum::<f32>() / d as f32;
-                    let gymean =
-                        grow.iter().zip(yrow).map(|(&gv, &yv)| gv * yv).sum::<f32>() / d as f32;
-                    for (gv, &yv) in grow.iter_mut().zip(yrow) {
-                        *gv = (*gv - gmean - yv * gymean) * inv_sigma;
+                let mut dx = Vec::with_capacity(g.len());
+                let mut dgamma = vec![0.0f32; d];
+                let rows = g.data().chunks(d).zip(normed.data().chunks(d)).zip(&inv_sigmas);
+                for ((grow, nrow), &inv_sigma) in rows {
+                    for ((dg, &gi), &ni) in dgamma.iter_mut().zip(grow).zip(nrow) {
+                        *dg += gi * ni;
+                    }
+                    let start = dx.len();
+                    dx.extend(grow.iter().zip(gain.data()).map(|(&gi, &m)| gi * m));
+                    let drow = &mut dx[start..];
+                    let gmean = drow.iter().sum::<f32>() / d as f32;
+                    let gnmean =
+                        drow.iter().zip(nrow).map(|(&gi, &ni)| gi * ni).sum::<f32>() / d as f32;
+                    for (gi, &ni) in drow.iter_mut().zip(nrow) {
+                        *gi = (*gi - gmean - ni * gnmean) * inv_sigma;
                     }
                 }
-                vec![dx]
+                let dgamma = Tensor::from_vec([d], dgamma);
+                vec![Tensor::from_vec(shape.clone(), dx), dgamma, reduce_rows(g, d)]
             })),
         )
     }
@@ -67,16 +86,15 @@ impl Tape {
     pub fn normalize_rows(&mut self, x: Var, eps: f32) -> Var {
         let xv = self.value(x);
         let d = xv.shape().last_dim();
-        let mut out = xv.clone();
+        let mut out = Vec::with_capacity(xv.len());
         let mut inv_norms = Vec::with_capacity(xv.shape().rows());
-        for row in out.data_mut().chunks_mut(d) {
+        for row in xv.data().chunks(d) {
             let norm = row.iter().map(|&v| v * v).sum::<f32>().sqrt().max(eps);
             let inv = 1.0 / norm;
             inv_norms.push(inv);
-            for v in row.iter_mut() {
-                *v *= inv;
-            }
+            out.extend(row.iter().map(|&v| v * inv));
         }
+        let out = Tensor::from_vec(xv.shape().clone(), out);
         let y = out.clone();
         self.push(
             out,
@@ -165,11 +183,18 @@ mod tests {
     use super::*;
     use crate::init::rng;
 
+    /// A `[d]` gain/shift leaf pair for the layernorm tests.
+    fn affine(t: &mut Tape, gain: Vec<f32>, shift: Vec<f32>) -> (Var, Var) {
+        let d = gain.len();
+        (t.leaf(Tensor::from_vec([d], gain)), t.leaf(Tensor::from_vec([d], shift)))
+    }
+
     #[test]
     fn layernorm_rows_have_zero_mean_unit_var() {
         let mut t = Tape::new();
         let x = t.leaf(Tensor::from_vec([2, 4], vec![1.0, 2.0, 3.0, 4.0, -5.0, 0.0, 5.0, 10.0]));
-        let y = t.layernorm(x, 1e-8);
+        let (g, b) = affine(&mut t, vec![1.0; 4], vec![0.0; 4]);
+        let y = t.layernorm(x, g, b, 1e-8);
         for row in t.value(y).data().chunks(4) {
             let mean: f32 = row.iter().sum::<f32>() / 4.0;
             let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
@@ -179,17 +204,33 @@ mod tests {
     }
 
     #[test]
+    fn layernorm_gain_and_shift_apply_per_column() {
+        let mut t = Tape::new();
+        // Rows normalise to (-1, 1) and (1, -1).
+        let x = t.leaf(Tensor::from_vec([2, 2], vec![-1.0, 1.0, 3.0, 1.0]));
+        let (g, b) = affine(&mut t, vec![10.0, 100.0], vec![1.0, 2.0]);
+        let y = t.layernorm(x, g, b, 0.0);
+        assert_eq!(t.value(y).data(), &[-9.0, 102.0, 11.0, -98.0]);
+        let s = t.sum_all(y);
+        let grads = t.backward(s);
+        // dγ sums the normalised columns, dβ counts the rows.
+        assert_eq!(grads.get(g).unwrap().data(), &[0.0, 0.0]);
+        assert_eq!(grads.get(b).unwrap().data(), &[2.0, 2.0]);
+    }
+
+    #[test]
     fn layernorm_gradient_is_orthogonal_to_shifts() {
         // y is invariant to adding a constant to x, so the gradient must sum
-        // to ~0 per row.
+        // to ~0 per row, whatever the gain.
         let mut t = Tape::new();
         let x = t.leaf(Tensor::from_vec([1, 3], vec![0.2, -1.0, 2.2]));
-        let y = t.layernorm(x, 1e-8);
+        let (g, b) = affine(&mut t, vec![0.5, 2.0, -1.5], vec![0.1, 0.2, 0.3]);
+        let y = t.layernorm(x, g, b, 1e-8);
         let w = Tensor::from_vec([1, 3], vec![3.0, -1.0, 2.0]);
         let l = t.mul_const(y, &w);
         let s = t.sum_all(l);
-        let g = t.backward(s);
-        let sum: f32 = g.get(x).unwrap().data().iter().sum();
+        let grads = t.backward(s);
+        let sum: f32 = grads.get(x).unwrap().data().iter().sum();
         assert!(sum.abs() < 1e-5, "gradient sum {sum}");
     }
 

@@ -13,10 +13,7 @@ impl Tape {
         let xv = self.value(x);
         let d = xv.shape().last_dim();
         assert!(d > 0, "softmax over empty dimension");
-        let mut out = xv.clone();
-        for row in out.data_mut().chunks_mut(d) {
-            softmax_row(row);
-        }
+        let out = Tensor::from_vec(xv.shape().clone(), softmax_rows(xv.data(), d));
         let y = out.clone();
         self.push(
             out,
@@ -35,18 +32,25 @@ impl Tape {
     }
 }
 
-/// In-place stable softmax of one row.
-pub(crate) fn softmax_row(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
+/// Stable softmax of every length-`d` row of `x`, written in one pass from
+/// the input: `exp(x - max)` per row, then scaled by the row's `1/Σ`.
+pub(crate) fn softmax_rows(x: &[f32], d: usize) -> Vec<f32> {
+    let mut out = Vec::with_capacity(x.len());
+    for row in x.chunks(d) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        let start = out.len();
+        out.extend(row.iter().map(|&v| {
+            let e = (v - max).exp();
+            sum += e;
+            e
+        }));
+        let inv = 1.0 / sum;
+        for v in &mut out[start..] {
+            *v *= inv;
+        }
     }
-    let inv = 1.0 / sum;
-    for v in row.iter_mut() {
-        *v *= inv;
-    }
+    out
 }
 
 #[cfg(test)]

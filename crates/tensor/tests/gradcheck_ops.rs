@@ -32,18 +32,35 @@ fn grad_add_sub_mul_scale() {
     );
 }
 
-#[test]
-fn grad_bias_ops() {
+/// `Tape::linear` on an input shaped `x`, into `d_out` features, with or
+/// without a bias; the loss squares the output so every gradient depends
+/// on the inputs.
+fn check_linear(seed: u64, x: &[usize], d_out: usize, bias: bool) {
+    let d_in = *x.last().expect("rank >= 1");
+    let mut inputs = vec![t(seed, x), t(seed + 1, [d_in, d_out])];
+    if bias {
+        inputs.push(t(seed + 2, [d_out]));
+    }
     assert_gradients(
         |s, v| {
-            let a = s.tape.add_bias(v[0], v[1]);
-            let b = s.tape.mul_bias(a, v[2]);
-            s.tape.sum_all(b)
+            let y = s.tape.linear(v[0], v[1], v.get(2).copied());
+            let sq = s.tape.mul(y, y);
+            s.tape.sum_all(sq)
         },
-        &[t(3, [4, 3]), t(4, [3]), t(5, [3])],
+        &inputs,
         EPS,
         TOL,
     );
+}
+
+#[test]
+fn grad_linear() {
+    check_linear(3, &[4, 3], 2, true);
+    check_linear(3, &[4, 3], 2, false);
+    check_linear(90, &[2, 3, 4], 5, true);
+    check_linear(90, &[2, 3, 4], 5, false);
+    // NCF's prediction head: one output feature.
+    check_linear(93, &[5, 4], 1, true);
 }
 
 #[test]
@@ -104,17 +121,7 @@ fn grad_activations() {
 }
 
 #[test]
-fn grad_matmul_family() {
-    assert_gradients(
-        |s, v| {
-            let c = s.tape.matmul(v[0], v[1]);
-            let sq = s.tape.mul(c, c);
-            s.tape.sum_all(sq)
-        },
-        &[t(20, [3, 4]), t(21, [4, 2])],
-        EPS,
-        TOL,
-    );
+fn grad_matmul_nt() {
     assert_gradients(
         |s, v| {
             let c = s.tape.matmul_nt(v[0], v[1]);
@@ -169,13 +176,14 @@ fn grad_softmax() {
 fn grad_layernorm() {
     assert_gradients(
         |s, v| {
-            let y = s.tape.layernorm(v[0], 1e-5);
+            let y = s.tape.layernorm(v[0], v[1], v[2], 1e-5);
             let sq = s.tape.mul(y, y);
             let c = s.tape.scale(sq, 0.5);
             let cube = s.tape.mul(c, y);
             s.tape.sum_all(cube)
         },
-        &[t(31, [3, 6]).scale(2.0)],
+        // The gain is bounded away from 0 so every column carries signal.
+        &[t(31, [3, 6]).scale(2.0), t(4, [6]).map(|g| g + g.signum()), t(5, [6])],
         EPS,
         5e-3, // layernorm FD is noisier: the normalisation amplifies eps
     );

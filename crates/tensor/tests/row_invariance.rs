@@ -62,3 +62,49 @@ fn matmul_nn_rows_do_not_depend_on_batch_size() {
         );
     }
 }
+
+/// The packed engine cuts `C` into one row band per worker when `C` has
+/// fewer `MC`-row blocks than the pool has workers and the depth spans
+/// several `KC` blocks, and into `MC`-row blocks otherwise. A row must come
+/// out with the same bits on both sides of that partition: alone on one
+/// worker (never split) and inside batches of 1 to 256 rows on 2 to 4
+/// workers, where m ≤ MC takes the split at every such pool size, MC + 1
+/// at 3 and 4 workers, and 256 only at 4. All three layouts, at
+/// k = 4·KC+7.
+#[test]
+fn rows_match_across_the_per_worker_band_split() {
+    use seqrec_tensor::linalg::gemm::{KC, MC};
+    let pool = |n| rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(0xb0d5);
+    let (k, n, rows) = (4 * KC + 7, 33, 256);
+    let a = random_tensor(&mut rng, [rows, k]);
+    let b = random_tensor(&mut rng, [k, n]);
+    let bt = b.transpose2();
+    // Logical A rows `lo..hi` in each layout's storage, times B.
+    let products = |lo: usize, hi: usize| {
+        let sub = Tensor::from_vec([hi - lo, k], a.data()[lo * k..hi * k].to_vec());
+        [
+            linalg::matmul_nn(&sub, &b),
+            linalg::matmul_nt(&sub, &bt),
+            linalg::matmul_tn(&sub.transpose2(), &b),
+        ]
+    };
+    let solo: Vec<_> = pool(1).install(|| (0..rows).map(|i| products(i, i + 1)).collect());
+    for threads in [2, 3, 4] {
+        pool(threads).install(|| {
+            for m in [1, 2, 64, MC, MC + 1, rows] {
+                let full = products(0, m);
+                for (i, alone) in solo.iter().enumerate().take(m) {
+                    for (layout, (f, s)) in ["nn", "nt", "tn"].iter().zip(full.iter().zip(alone)) {
+                        assert_eq!(
+                            &f.data()[i * n..(i + 1) * n],
+                            s.data(),
+                            "{layout}: row {i} of a {m}-row batch on {threads} workers \
+                             differs from the row alone on one worker"
+                        );
+                    }
+                }
+            }
+        });
+    }
+}

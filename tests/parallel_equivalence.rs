@@ -11,6 +11,10 @@
 //!    mask draws from a clone of the caller's ChaCha8 stream seeked to the
 //!    chunk's first word, so the mask and the stream position afterwards
 //!    are those of one serial draw.
+//! 4. The packed GEMM is **bit-exact** across pool sizes, including where
+//!    it cuts `C` into one row band per worker (fewer `MC`-row blocks than
+//!    workers, several `KC` blocks): every element still sums the same
+//!    `KC` blocks in order through the same microkernel.
 
 use cp4rec_repro::cl4srec::{AugmentationSet, Cl4sRec, Cl4sRecConfig};
 use cp4rec_repro::data::{Dataset, Split};
@@ -139,6 +143,46 @@ proptest! {
             let par = grad_of(Some(threads));
             for (a, b) in serial.iter().zip(&par) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+}
+
+/// Claim 4: on pools of 1, 2, 3 and 4 workers the packed engine returns the
+/// same bits in all three layouts, at row counts from one register tile to
+/// one `MC` block, depths from one `KC` block to the encoder's 12,800-token
+/// weight gradient, and widths from one column to the model dimension. At
+/// 2 to 4 workers every one of these shapes with `k > KC` takes the
+/// per-worker band split, which the 1-worker pool never takes.
+#[test]
+fn packed_gemm_is_bit_exact_across_pool_sizes() {
+    use cp4rec_repro::tensor::linalg::gemm::{KC, MC};
+    use cp4rec_repro::tensor::linalg::micro::{MR, NR};
+    use cp4rec_repro::tensor::{init, linalg, Tensor};
+    let bits = |t: &Tensor| t.data().iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+    let mut case = 0u64;
+    for m in [MR, 64, MC - 1, MC] {
+        for k in [KC, 4 * KC + 7, 12_800] {
+            for n in [1, NR, 64] {
+                case += 1;
+                let a = init::uniform([m, k], -1.0, 1.0, &mut rng(case));
+                let at = init::uniform([k, m], -1.0, 1.0, &mut rng(case ^ 0x100));
+                let b = init::uniform([k, n], -1.0, 1.0, &mut rng(case ^ 0x200));
+                let bt = init::uniform([n, k], -1.0, 1.0, &mut rng(case ^ 0x300));
+                let run = || {
+                    [
+                        bits(&linalg::matmul_nn_blocked(&a, &b)),
+                        bits(&linalg::matmul_nt_blocked(&a, &bt)),
+                        bits(&linalg::matmul_tn_blocked(&at, &b)),
+                    ]
+                };
+                let serial = pool(1).install(run);
+                for threads in [2, 3, 4] {
+                    let par = pool(threads).install(run);
+                    for (layout, (s, p)) in ["nn", "nt", "tn"].iter().zip(serial.iter().zip(&par)) {
+                        assert!(s == p, "{layout} {m}x{k}x{n} differs on {threads} workers");
+                    }
+                }
             }
         }
     }
