@@ -7,6 +7,13 @@
 //! LayerNorms and FFN at position `T-1` only. Its keys and values still
 //! cover all `T` positions.
 //!
+//! The `attention` group times `Tape::attention` alone, forward and
+//! forward + backward, in training at p = 0.2 on the shapes a B = 256,
+//! T = 50, d = 64, h = 2 view feeds it: queries at every position
+//! (`tq50`, every block but the last) and at the last only (`tq1`, the
+//! final block of `user_repr`), keys and values `[B, T, d]`, causal masks
+//! over left-padded histories.
+//!
 //! The `dropout` group times `Tape::dropout` alone at the paper's p = 0.2 on
 //! the two mask shapes a B = 256, T = 50, d = 64, h = 2 training view
 //! draws: activations `[B, T, d]` and attention weights `[B, h, T, T]`.
@@ -16,7 +23,8 @@ use seqrec_data::batch::pad_left;
 use seqrec_models::encoder::{EncoderConfig, TransformerEncoder};
 use seqrec_tensor::init::{self, rng};
 use seqrec_tensor::nn::Step;
-use seqrec_tensor::Tape;
+use seqrec_tensor::ops::causal_padding_mask;
+use seqrec_tensor::{Tape, Tensor};
 use std::hint::black_box;
 
 fn make_batch(b: usize, t: usize, num_items: usize) -> (Vec<u32>, Vec<Vec<bool>>) {
@@ -65,6 +73,46 @@ fn bench_attention(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_fused_attention(c: &mut Criterion) {
+    let (b, t, d, h) = (256usize, 50usize, 64usize, 2usize);
+    let (_, valid) = make_batch(b, t, 1000);
+    let full = causal_padding_mask(&valid, t);
+    let last: Vec<f32> =
+        full.data().chunks(t * t).flat_map(|m| &m[(t - 1) * t..]).copied().collect();
+    let last = Tensor::from_vec([b, 1, t], last);
+    let k = init::normal([b, t, d], 1.0, &mut rng(5));
+    let v = init::normal([b, t, d], 1.0, &mut rng(6));
+    let mut r = rng(3);
+
+    let mut group = c.benchmark_group("attention");
+    group.sample_size(10);
+    for (tq, mask) in [(t, &full), (1, &last)] {
+        let q = init::normal([b, tq, d], 1.0, &mut rng(4));
+        let id = format!("tq{tq}");
+        group.bench_with_input(BenchmarkId::new("forward", &id), &q, |bench, q| {
+            bench.iter(|| {
+                let mut tape = Tape::new();
+                let (vq, vk, vv) =
+                    (tape.leaf(q.clone()), tape.leaf(k.clone()), tape.leaf(v.clone()));
+                let y = tape.attention(vq, vk, vv, mask, h, 0.2, true, &mut r);
+                black_box(tape.value(y).at(0));
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("forward_backward", &id), &q, |bench, q| {
+            bench.iter(|| {
+                let mut tape = Tape::new();
+                let (vq, vk, vv) =
+                    (tape.leaf(q.clone()), tape.leaf(k.clone()), tape.leaf(v.clone()));
+                let y = tape.attention(vq, vk, vv, mask, h, 0.2, true, &mut r);
+                let loss = tape.sum_all(y);
+                let grads = tape.backward(loss);
+                black_box(grads.get(vq).is_some());
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_dropout(c: &mut Criterion) {
     let mut group = c.benchmark_group("dropout");
     group.sample_size(10);
@@ -94,5 +142,5 @@ fn bench_dropout(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_attention, bench_dropout);
+criterion_group!(benches, bench_attention, bench_fused_attention, bench_dropout);
 criterion_main!(benches);

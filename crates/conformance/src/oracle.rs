@@ -363,14 +363,73 @@ pub fn padding_mask(valid: &[Vec<bool>], t: usize) -> Vec<f32> {
     out
 }
 
-/// Adds a `[B, T, T]` mask to `[B*h, T, T]` scores, broadcast over heads.
-pub fn add_attn_mask(scores: &[f32], mask: &[f32], b: usize, h: usize, t: usize) -> Vec<f32> {
-    let stride = t * t;
+/// Adds a `[B, Tq, T]` mask to `[B*h, Tq, T]` scores, broadcast over
+/// heads.
+pub fn add_attn_mask(scores: &[f32], mask: &[f32], b: usize, h: usize) -> Vec<f32> {
+    let stride = mask.len() / b;
     let mut out = scores.to_vec();
     for bi in 0..b {
         for hi in 0..h {
             for i in 0..stride {
                 out[(bi * h + hi) * stride + i] += mask[bi * stride + i];
+            }
+        }
+    }
+    out
+}
+
+/// Multi-head scaled dot-product attention from its definition (Eq. 9–10),
+/// in f64. `q` is `[B, Tq, d]`, `k` and `v` are `[B, T, d]`, `mask` is the
+/// additive `[B, Tq, T]` mask and `dims` is `[B, Tq, T, d]`. For sequence
+/// `b`, head `i` (columns `i·dh..(i+1)·dh`, `dh = d/h`) and query row `r`:
+/// `P_r = softmax_j(Q_r·K_j / √dh + mask_rj)` and
+/// `ctx_r = Σ_j P_rj·m_rj·V_j`, where `m` is [`dropout_mask`] drawn over
+/// the `[B, h, Tq, T]` weights in that order when `drop` is given, and 1
+/// otherwise. Returns `[B, Tq, d]`, head `i`'s context in its own columns.
+pub fn attention(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    mask: &[f32],
+    dims: [usize; 4],
+    h: usize,
+    drop: Option<(f32, &mut TensorRng)>,
+) -> Vec<f32> {
+    let [b, tq, t, d] = dims;
+    let dh = d / h;
+    let keep = match drop {
+        Some((p, rng)) => dropout_mask(b * h * tq * t, p, rng),
+        None => vec![1.0; b * h * tq * t],
+    };
+    let scale = 1.0 / (dh as f64).sqrt();
+    let mut out = vec![0.0f32; b * tq * d];
+    for bi in 0..b {
+        for hi in 0..h {
+            let col = hi * dh;
+            for r in 0..tq {
+                let qrow = &q[(bi * tq + r) * d + col..][..dh];
+                let logits: Vec<f64> = (0..t)
+                    .map(|j| {
+                        let krow = &k[(bi * t + j) * d + col..][..dh];
+                        let dot: f64 =
+                            qrow.iter().zip(krow).map(|(&a, &c)| a as f64 * c as f64).sum();
+                        dot * scale + mask[(bi * tq + r) * t + j] as f64
+                    })
+                    .collect();
+                let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let exps: Vec<f64> = logits.iter().map(|&l| (l - max).exp()).collect();
+                let sum: f64 = exps.iter().sum();
+                let row_keep = &keep[((bi * h + hi) * tq + r) * t..][..t];
+                for c in 0..dh {
+                    let ctx: f64 = (0..t)
+                        .map(|j| {
+                            exps[j] / sum
+                                * row_keep[j] as f64
+                                * v[(bi * t + j) * d + col + c] as f64
+                        })
+                        .sum();
+                    out[(bi * tq + r) * d + col + c] = ctx as f32;
+                }
             }
         }
     }
@@ -564,6 +623,21 @@ mod tests {
         let r0: f32 = s[..3].iter().sum();
         let r1: f32 = s[3..].iter().sum();
         assert!((r0 - 1.0).abs() < 1e-6 && (r1 - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn oracle_attention_over_one_key_returns_its_value() {
+        // One key: its softmax weight is 1 whatever the scores, so each
+        // head's context is that key's value, times the dropout multiplier.
+        let (q, k, v) = ([0.5, -2.0, 1.0, 3.0], [1.5, 0.25, -1.0, 2.0], [4.0, -3.0, 2.0, 1.0]);
+        let out = attention(&q, &k, &v, &[0.0], [1, 1, 1, 4], 2, None);
+        assert_eq!(out, v.to_vec());
+        let mut r = seqrec_tensor::init::rng(12);
+        let keep = dropout_mask(2, 0.5, &mut r.clone());
+        let dropped = attention(&q, &k, &v, &[0.0], [1, 1, 1, 4], 2, Some((0.5, &mut r)));
+        for (c, (&o, &x)) in dropped.iter().zip(&v).enumerate() {
+            assert_eq!(o, x * keep[c / 2], "column {c}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Differential fuzzing of the optimized tensor engine against the scalar
 //! oracle, one section per module of `crates/tensor/src/ops/`:
-//! activations, basic, embedding, loss, mask, matmul, norm, softmax, window.
+//! activations, attention, basic, embedding, loss, mask, matmul, norm,
+//! softmax, window.
 //!
 //! Shapes are drawn adversarially small and unaligned (every dim down to 1,
 //! non-tile-multiple matmul sizes, batch = 1, padded attention rows) because
@@ -10,10 +11,11 @@
 //! relative tolerance far below the 1e-3 the gradchecks allow.
 
 use proptest::prelude::*;
-use rand::Rng;
+use rand::{Rng, RngCore};
 use seqrec_conformance::oracle;
 use seqrec_tensor::init::rng;
-use seqrec_tensor::ops::{causal_padding_mask, padding_mask};
+use seqrec_tensor::linalg;
+use seqrec_tensor::ops::{causal_padding_mask, padding_mask, softmax_rows};
 use seqrec_tensor::{Shape, Tape, Tensor, Var};
 
 /// Deterministic test data: `n` uniform draws in `[-3, 3)` from a seeded
@@ -65,6 +67,158 @@ proptest! {
         assert_close("sigmoid", t.value(s).data(), &oracle::sigmoid(&x), 1e-6);
         assert_close("tanh", t.value(th).data(), &oracle::tanh(&x), 1e-6);
         assert_close("softplus", t.value(sp).data(), &oracle::softplus(&x), 1e-6);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// ops/attention.rs
+// ---------------------------------------------------------------------------
+
+/// One fuzzed attention case. `flags` picks, bit by bit, queries at the
+/// last position only (`Tq = 1`) or at every one, the causal or the
+/// padding-only mask, training (dropout at p = 0.2) or inference, and
+/// (bit 16) a dense additive mask of values in `[-3, 3)` in place of the
+/// 0 / −1e9 one, where a fused multiply-add of scale and mask would show.
+struct AttnCase {
+    b: usize,
+    tq: usize,
+    tt: usize,
+    d: usize,
+    h: usize,
+    training: bool,
+    q: Vec<f32>,
+    k: Vec<f32>,
+    v: Vec<f32>,
+    mask: Tensor,
+}
+
+const ATTN_P: f32 = 0.2;
+
+impl AttnCase {
+    fn new(seed: u64, b: usize, tt: usize, h: usize, dh: usize, flags: u8) -> Self {
+        let (last_only, causal, training) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+        let (d, tq) = (h * dh, if last_only { 1 } else { tt });
+        let valid = left_padded(seed ^ 22, b, tt);
+        let full = if causal { causal_padding_mask(&valid, tt) } else { padding_mask(&valid, tt) };
+        let mask = if flags & 16 != 0 {
+            Tensor::from_vec([b, tq, tt], data(seed ^ 25, b * tq * tt))
+        } else if last_only {
+            let rows = full.data().chunks(tt * tt).flat_map(|m| &m[(tt - 1) * tt..]);
+            Tensor::from_vec([b, 1, tt], rows.copied().collect())
+        } else {
+            full
+        };
+        let (q, k, v) =
+            (data(seed, b * tq * d), data(seed ^ 20, b * tt * d), data(seed ^ 21, b * tt * d));
+        AttnCase { b, tq, tt, d, h, training, q, k, v, mask }
+    }
+
+    /// A stream for the dropout draw, started off a ChaCha block boundary.
+    fn stream(seed: u64) -> seqrec_tensor::init::TensorRng {
+        let mut r = rng(seed ^ 23);
+        for _ in 0..seed % 19 {
+            r.next_u32();
+        }
+        r
+    }
+
+    /// `Tape::attention` on this case, its output and its `[dq, dk, dv]`
+    /// under the upstream gradient `g`.
+    fn engine(&self, g: &[f32], r: &mut seqrec_tensor::init::TensorRng) -> [Vec<f32>; 4] {
+        let (b, tq, tt, d) = (self.b, self.tq, self.tt, self.d);
+        let mut t = Tape::new();
+        let vq = leaf(&mut t, [b, tq, d], &self.q);
+        let vk = leaf(&mut t, [b, tt, d], &self.k);
+        let vv = leaf(&mut t, [b, tt, d], &self.v);
+        let out = t.attention(vq, vk, vv, &self.mask, self.h, ATTN_P, self.training, r);
+        let weighted = t.mul_const(out, &Tensor::from_vec([b, tq, d], g.to_vec()));
+        let loss = t.sum_all(weighted);
+        let grads = t.backward(loss);
+        let grad = |v: Var| grads.get(v).expect("gradient").data().to_vec();
+        [t.value(out).data().to_vec(), grad(vq), grad(vk), grad(vv)]
+    }
+
+    /// The ten-op chain `Tape::attention` replaced, from public kernels:
+    /// head split, `linalg::bmm_nt`, `Tensor::scale`, the mask add,
+    /// `softmax_rows`, the dropout select, `linalg::bmm_nn` and the head
+    /// merge, then that chain's backward, step by step.
+    fn unfused(&self, g: &[f32], r: &mut seqrec_tensor::init::TensorRng) -> [Vec<f32>; 4] {
+        let (b, tq, tt, d, h) = (self.b, self.tq, self.tt, self.d, self.h);
+        let dh = d / h;
+        let c = 1.0 / (dh as f32).sqrt();
+        let split = |x: &[f32], rows: usize| {
+            Tensor::from_vec([b * h, rows, dh], oracle::split_heads(x, b, rows, d, h))
+        };
+        let merge = |x: &Tensor, rows: usize| oracle::merge_heads(x.data(), b, rows, dh, h);
+        let (qh, kh, vh) = (split(&self.q, tq), split(&self.k, tt), split(&self.v, tt));
+        let scores = linalg::bmm_nt(&qh, &kh).scale(c);
+        let masked = oracle::add_attn_mask(scores.data(), self.mask.data(), b, h);
+        let mut y = vec![0.0; masked.len()];
+        softmax_rows(&masked, tt, &mut y);
+        let keep = self.training.then(|| oracle::dropout_mask(y.len(), ATTN_P, r));
+        let dropped = match &keep {
+            Some(m) => y.iter().zip(m).map(|(&p, &m)| p * m).collect(),
+            None => y.clone(),
+        };
+        let dropped = Tensor::from_vec([b * h, tq, tt], dropped);
+        let out = merge(&linalg::bmm_nn(&dropped, &vh), tq);
+
+        let gc = split(g, tq);
+        let dv = linalg::bmm_tn(&dropped, &gc);
+        let mut dy = linalg::bmm_nt(&gc, &vh).data().to_vec();
+        if let Some(m) = &keep {
+            dy.iter_mut().zip(m).for_each(|(g, &m)| *g *= m);
+        }
+        for (grow, yrow) in dy.chunks_mut(tt).zip(y.chunks(tt)) {
+            grow.iter_mut().zip(yrow).for_each(|(g, &y)| *g *= y);
+            let dot: f32 = grow.iter().sum();
+            grow.iter_mut().zip(yrow).for_each(|(g, &y)| *g -= dot * y);
+        }
+        let ds = Tensor::from_vec([b * h, tq, tt], dy).scale(c);
+        let dq = linalg::bmm_nn(&ds, &kh);
+        let dk = linalg::bmm_tn(&ds, &qh);
+        [out, merge(&dq, tq), merge(&dk, tt), merge(&dv, tt)]
+    }
+}
+
+proptest! {
+    #[test]
+    fn diff_attention(seed in 0u64..1_000_000, b in 1usize..4, tt in 1usize..7, h in 1usize..4, dh in 1usize..5, flags in 0u8..8, dense in 0u8..2) {
+        let flags = flags | dense << 4;
+        let case = AttnCase::new(seed, b, tt, h, dh, flags);
+        let (mut engine_rng, mut oracle_rng) = (AttnCase::stream(seed), AttnCase::stream(seed));
+        let [out, ..] = case.engine(&vec![1.0; b * case.tq * case.d], &mut engine_rng);
+        let drop = case.training.then_some((ATTN_P, &mut oracle_rng));
+        let want = oracle::attention(&case.q, &case.k, &case.v, case.mask.data(), [b, case.tq, tt, case.d], h, drop);
+        // A query row with every key masked rounds each of its f32 scores
+        // to -1e9, so the engine's softmax there is flat where the f64
+        // oracle still sees Q·Kᵀ. No valid position reads such a row (its
+        // key/value position is masked for them too), so it is skipped.
+        let rows = out.chunks(case.d).zip(want.chunks(case.d)).zip(case.mask.data().chunks(tt));
+        for (i, ((e, o), m)) in rows.enumerate() {
+            if m.iter().any(|&m| m > -1e8) {
+                assert_close(&format!("attention row {i}"), e, o, 1e-4);
+            }
+        }
+        prop_assert_eq!(engine_rng.next_u32(), oracle_rng.next_u32());
+    }
+
+    /// The fused op against the chain it replaced: output, the three
+    /// gradients and the rng's next draw, bit for bit. Flag bit 8 makes a
+    /// wide case, `d/h = 64` and `T >= 17`, whose head products take the
+    /// packed GEMM.
+    #[test]
+    fn attention_matches_the_unfused_chain_bit_for_bit(seed in 0u64..1_000_000, b in 1usize..4, tt in 1usize..9, h in 1usize..4, dh in 1usize..6, flags in 0u8..32) {
+        let (tt, dh) = if flags & 8 != 0 { (tt + 16, 64) } else { (tt, dh) };
+        let case = AttnCase::new(seed, b, tt, h, dh, flags);
+        let g = data(seed ^ 24, b * case.tq * case.d);
+        let (mut engine_rng, mut chain_rng) = (AttnCase::stream(seed), AttnCase::stream(seed));
+        let engine = case.engine(&g, &mut engine_rng);
+        let chain = case.unfused(&g, &mut chain_rng);
+        for (tag, (e, c)) in ["output", "dq", "dk", "dv"].iter().zip(engine.iter().zip(&chain)) {
+            assert_bits(tag, e, c);
+        }
+        prop_assert_eq!(engine_rng.next_u32(), chain_rng.next_u32());
     }
 }
 
@@ -138,8 +292,7 @@ proptest! {
     }
 
     #[test]
-    fn diff_heads_and_time(seed in 0u64..1_000_000, b in 1usize..4, tt in 1usize..7, h in 1usize..4, dh in 1usize..4) {
-        let d = h * dh;
+    fn diff_time_slices(seed in 0u64..1_000_000, b in 1usize..4, tt in 1usize..7, d in 1usize..10) {
         let x = data(seed, b * tt * d);
         let mut r = rng(seed ^ 5);
         let ti = r.gen_range(0..tt);
@@ -147,14 +300,9 @@ proptest! {
             (0..b + 1).map(|_| (r.gen_range(0..b), r.gen_range(0..tt))).collect();
         let mut t = Tape::new();
         let vx = leaf(&mut t, [b, tt, d], &x);
-        let sh = t.split_heads(vx, h);
-        let rt = t.merge_heads(sh, h);
         let st = t.select_time(vx, ti);
         let lt = t.last_time(vx);
         let gp = t.gather_positions(vx, &positions);
-        assert_bits("split_heads", t.value(sh).data(), &oracle::split_heads(&x, b, tt, d, h));
-        // merge ∘ split is the identity, and matches the oracle pair
-        assert_bits("merge_heads", t.value(rt).data(), &x);
         assert_bits("select_time", t.value(st).data(), &oracle::select_time(&x, b, tt, d, ti));
         assert_bits("last_time", t.value(lt).data(), &oracle::select_time(&x, b, tt, d, tt - 1));
         assert_bits("gather_positions", t.value(gp).data(), &oracle::gather_positions(&x, tt, d, &positions));
@@ -211,28 +359,25 @@ proptest! {
 
 proptest! {
     #[test]
-    fn diff_masks(seed in 0u64..1_000_000, b in 1usize..5, h in 1usize..4, tt in 1usize..7) {
-        let mut r = rng(seed ^ 11);
-        // left-padded validity rows with at least one real position, the
-        // shape every model feeds these builders
-        let valid: Vec<Vec<bool>> = (0..b)
-            .map(|_| {
-                let real = r.gen_range(1..=tt);
-                (0..tt).map(|i| i >= tt - real).collect()
-            })
-            .collect();
+    fn diff_masks(seed in 0u64..1_000_000, b in 1usize..5, tt in 1usize..7) {
+        let valid = left_padded(seed ^ 11, b, tt);
         let causal = causal_padding_mask(&valid, tt);
         let pad = padding_mask(&valid, tt);
         assert_bits("causal_padding_mask", causal.data(), &oracle::causal_padding_mask(&valid, tt));
         assert_bits("padding_mask", pad.data(), &oracle::padding_mask(&valid, tt));
-
-        let scores = data(seed, b * h * tt * tt);
-        let mut t = Tape::new();
-        let vs = leaf(&mut t, [b * h, tt, tt], &scores);
-        let masked = t.add_attn_mask(vs, &causal, h);
-        assert_bits("add_attn_mask", t.value(masked).data(),
-            &oracle::add_attn_mask(&scores, causal.data(), b, h, tt));
     }
+}
+
+/// Left-padded validity rows with at least one real position: the shape
+/// every model feeds the mask builders.
+fn left_padded(seed: u64, b: usize, tt: usize) -> Vec<Vec<bool>> {
+    let mut r = rng(seed);
+    (0..b)
+        .map(|_| {
+            let real = r.gen_range(1..=tt);
+            (0..tt).map(|i| i >= tt - real).collect()
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -262,14 +407,11 @@ proptest! {
         let a = data(seed, batch * m * k);
         let b = data(seed ^ 14, batch * k * n);
         let bt = data(seed ^ 15, batch * n * k);
-        let mut t = Tape::new();
-        let va = leaf(&mut t, [batch, m, k], &a);
-        let vb = leaf(&mut t, [batch, k, n], &b);
-        let vbt = leaf(&mut t, [batch, n, k], &bt);
-        let nn = t.bmm(va, vb);
-        let nt = t.bmm_nt(va, vbt);
-        assert_close("bmm", t.value(nn).data(), &oracle::bmm_nn(&a, &b, batch, m, k, n), 1e-4);
-        assert_close("bmm_nt", t.value(nt).data(), &oracle::bmm_nt(&a, &bt, batch, m, k, n), 1e-4);
+        let va = Tensor::from_vec([batch, m, k], a.clone());
+        let nn = linalg::bmm_nn(&va, &Tensor::from_vec([batch, k, n], b.clone()));
+        let nt = linalg::bmm_nt(&va, &Tensor::from_vec([batch, n, k], bt.clone()));
+        assert_close("bmm_nn", nn.data(), &oracle::bmm_nn(&a, &b, batch, m, k, n), 1e-4);
+        assert_close("bmm_nt", nt.data(), &oracle::bmm_nt(&a, &bt, batch, m, k, n), 1e-4);
     }
 
     #[test]
@@ -369,10 +511,9 @@ proptest! {
                 }
             }
         }
-        let mut t = Tape::new();
-        let vx = leaf(&mut t, [n, d], &x);
-        let sm = t.softmax(vx);
-        assert_close("softmax", t.value(sm).data(), &oracle::softmax(&x, d), 1e-5);
+        let mut sm = vec![0.0; n * d];
+        softmax_rows(&x, d, &mut sm);
+        assert_close("softmax_rows", &sm, &oracle::softmax(&x, d), 1e-5);
     }
 }
 

@@ -270,21 +270,12 @@ impl TransformerEncoder {
                 _ => (x, mask),
             };
 
-            // Multi-head self-attention (Eq. 9-10).
+            // Multi-head self-attention (Eq. 9-10), dropout on its weights.
             let q = block.wq.forward(step, xq);
             let k = block.wk.forward(step, x);
             let v = block.wv.forward(step, x);
-            let qh = step.tape.split_heads(q, h);
-            let kh = step.tape.split_heads(k, h);
-            let vh = step.tape.split_heads(v, h);
-            let scores = step.tape.bmm_nt(qh, kh);
-            let scaled = step.tape.scale(scores, 1.0 / ((d / h) as f32).sqrt());
-            let masked = step.tape.add_attn_mask(scaled, qmask, h);
-            let probs = step.tape.softmax(masked);
-            let probs = step.tape.dropout(probs, p, training, rng);
-            let ctx = step.tape.bmm(probs, vh);
-            let merged = step.tape.merge_heads(ctx, h);
-            let mh = block.wo.forward(step, merged);
+            let ctx = step.tape.attention(q, k, v, qmask, h, p, training, rng);
+            let mh = block.wo.forward(step, ctx);
 
             // Residual + dropout + LayerNorm (Eq. 12).
             let mh_dropped = step.tape.dropout(mh, p, training, rng);

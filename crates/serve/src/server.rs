@@ -13,6 +13,11 @@
 //! scores: a request served in a batch of 64 returns bit-identical results
 //! to the same request served alone (`tests/serve_parity.rs`).
 //!
+//! A request whose history names an item outside the model's catalog
+//! (`1..=num_items`) is rejected before the batch is encoded: its client
+//! gets `None`, `serve.errors` counts it, and the rest of the batch is
+//! served with the bits it would have had anyway (`tests/serve_admission.rs`).
+//!
 //! ## Observability
 //!
 //! Every request gets a process-monotonic id at submission, and the worker
@@ -80,7 +85,9 @@ impl ServeClient {
     /// Scores `history` for `user` and returns the top `k` items, blocking
     /// until the server has run the batch containing this request.
     ///
-    /// Returns `None` if the server has shut down.
+    /// Returns `None` if the server has shut down, or if `history` names an
+    /// item outside the model's catalog `1..=num_items`: the worker rejects
+    /// such a request before encoding and serves the rest of its batch.
     pub fn recommend(&self, user: usize, history: &[u32], k: usize) -> Option<Vec<Recommendation>> {
         let req = NEXT_REQ_ID.fetch_add(1, Ordering::Relaxed);
         let enqueued_us = sink::now_us();
@@ -178,6 +185,24 @@ fn worker_loop<M: StatefulScorer>(
         // whether the window or the model is the bottleneck.
         metrics::SERVE_QUEUE_DEPTH.record(metrics::SERVE_QUEUE.get().max(0) as u64);
         metrics::SERVE_BATCH_OCCUPANCY_PCT.record((batch.len() * 100 / cfg.max_batch) as u64);
+
+        // An item id outside the catalog would index past the model's
+        // embedding tables and panic this thread, failing every later
+        // request. Such a request is answered with `None` (its reply sender
+        // dropped) and counted as an error before the batch is encoded; the
+        // rest of the batch is encoded and scored as if it had come alone.
+        let catalog = 1..=service.model().num_items();
+        let (batch, rejected): (Vec<_>, Vec<_>) = batch
+            .into_iter()
+            .partition(|r| r.inner.history.iter().all(|&i| catalog.contains(&(i as usize))));
+        for r in rejected {
+            metrics::SERVE_ERRORS.incr();
+            metrics::SERVE_IN_FLIGHT.add(-1);
+            drop(r);
+        }
+        if batch.is_empty() {
+            continue;
+        }
 
         let t_exec = sink::now_us();
         let started = Instant::now();

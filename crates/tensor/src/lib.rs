@@ -6,10 +6,11 @@
 //! models need — but implements it carefully:
 //!
 //! * [`Tensor`]: dense, row-major, `Arc`-backed (O(1) clones, copy-on-write).
-//! * [`Tape`] + ops ([`ops`]): matmuls (plain/batched/transposed), softmax,
-//!   LayerNorm, activations, embedding gather, attention masking, fused
-//!   softmax-cross-entropy — each with a hand-written backward pass that is
-//!   verified against finite differences ([`gradcheck`]).
+//! * [`Tape`] + ops ([`ops`]): matmuls, the fused linear layer, LayerNorm,
+//!   multi-head attention as one node, activations, dropout, embedding
+//!   gather, fused softmax-cross-entropy — each with a hand-written
+//!   backward pass that is verified against finite differences
+//!   ([`gradcheck`]).
 //! * [`nn`]: `Linear`, `LayerNorm`, `Embedding` modules and the
 //!   [`nn::Param`]/[`nn::Step`] binding machinery.
 //! * [`optim`]: Adam (the paper's optimiser) with linear LR decay and

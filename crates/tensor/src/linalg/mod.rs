@@ -59,9 +59,11 @@
 //! rests on (`tests/row_invariance.rs`).
 //!
 //! Batched versions (`bmm_*`) treat every leading dimension as batch; the
-//! two trailing dimensions are the matrix. Multi-head attention uses these
-//! with shape `[batch·heads, T, d_head]`. Large single-batch inputs route
+//! two trailing dimensions are the matrix. Large single-batch inputs route
 //! through the parallel 2D engine rather than a serial per-batch kernel.
+//! Multi-head attention ([`crate::Tape::attention`]) calls the per-slice
+//! kernels behind them (`nn_into`, `nt_into`, `tn_into`) on one
+//! `[T, d_head]` head slice at a time, from one pool task per sequence.
 
 pub mod gemm;
 pub mod micro;
@@ -241,7 +243,9 @@ fn count_gemm(m: usize, k: usize, n: usize) {
     seqrec_obs::metrics::GEMM_FLOPS_PER_CALL.record(flops);
 }
 
-fn nn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// `out = A·B`, `A` stored `[m,k]`, `B` stored `[k,n]`; `out` (`[m,n]`) is
+/// fully overwritten.
+pub(crate) fn nn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     count_gemm(m, k, n);
     let _s = seqrec_obs::detail_span!("gemm.nn");
     if use_simple(k, n) {
@@ -251,7 +255,9 @@ fn nn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) 
     }
 }
 
-fn nt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// `out = A·Bᵀ`, `A` stored `[m,k]`, `B` stored `[n,k]`; `out` (`[m,n]`) is
+/// fully overwritten.
+pub(crate) fn nt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     count_gemm(m, k, n);
     let _s = seqrec_obs::detail_span!("gemm.nt");
     if use_simple(k, n) {
@@ -261,7 +267,9 @@ fn nt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) 
     }
 }
 
-fn tn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// `out = Aᵀ·B`, `A` stored `[k,m]`, `B` stored `[k,n]`; `out` (`[m,n]`) is
+/// fully overwritten.
+pub(crate) fn tn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     count_gemm(m, k, n);
     let _s = seqrec_obs::detail_span!("gemm.tn");
     if use_simple(k, n) {

@@ -31,7 +31,6 @@ impl Tape {
     }
 
     /// Adds a constant tensor (no gradient flows to it). Shapes must match.
-    /// Used for additive attention masks.
     pub fn add_const(&mut self, a: Var, c: &Tensor) -> Var {
         let out = self.value(a).add(c);
         self.push(out, vec![a], Some(Box::new(|g: &Tensor| vec![g.clone()])))

@@ -1,5 +1,5 @@
-//! Table lookups and structural ops (head split/merge, time slicing,
-//! concatenation, per-row scaling).
+//! Table lookups and structural ops (time slicing, concatenation, per-row
+//! scaling).
 
 use rayon::prelude::*;
 
@@ -84,40 +84,6 @@ impl Tape {
                 let dt = scatter_add_rows(&rows, g.data(), v, d, bands);
                 vec![Tensor::from_vec([v, d], dt)]
             })),
-        )
-    }
-
-    /// Splits `[B, T, d]` into `h` heads laid out as `[B*h, T, d/h]`, the
-    /// layout batched matmuls expect for attention.
-    ///
-    /// # Panics
-    /// Panics unless the input is rank 3 with `d % h == 0`.
-    pub fn split_heads(&mut self, x: Var, h: usize) -> Var {
-        let xv = self.value(x);
-        assert_eq!(xv.shape().rank(), 3, "split_heads expects [B,T,d], got {}", xv.shape());
-        let (b, t, d) = (xv.shape().dim(0), xv.shape().dim(1), xv.shape().dim(2));
-        assert!(h > 0 && d % h == 0, "d={d} not divisible by h={h}");
-        let dh = d / h;
-        let out = split_heads_raw(xv, b, t, d, h);
-        self.push(
-            out,
-            vec![x],
-            Some(Box::new(move |g: &Tensor| vec![merge_heads_raw(g, b, t, dh, h)])),
-        )
-    }
-
-    /// Inverse of [`Tape::split_heads`]: `[B*h, T, d/h] -> [B, T, d]`.
-    pub fn merge_heads(&mut self, x: Var, h: usize) -> Var {
-        let xv = self.value(x);
-        assert_eq!(xv.shape().rank(), 3, "merge_heads expects [B*h,T,dh], got {}", xv.shape());
-        let (bh, t, dh) = (xv.shape().dim(0), xv.shape().dim(1), xv.shape().dim(2));
-        assert!(h > 0 && bh % h == 0, "batch {bh} not divisible by h={h}");
-        let b = bh / h;
-        let out = merge_heads_raw(xv, b, t, dh, h);
-        self.push(
-            out,
-            vec![x],
-            Some(Box::new(move |g: &Tensor| vec![split_heads_raw(g, b, t, dh * h, h)])),
         )
     }
 
@@ -275,38 +241,6 @@ impl Tape {
     }
 }
 
-fn split_heads_raw(x: &Tensor, b: usize, t: usize, d: usize, h: usize) -> Tensor {
-    let dh = d / h;
-    let mut out = vec![0.0f32; b * t * d];
-    let xd = x.data();
-    for bi in 0..b {
-        for ti in 0..t {
-            let src = (bi * t + ti) * d;
-            for hi in 0..h {
-                let dst = ((bi * h + hi) * t + ti) * dh;
-                out[dst..dst + dh].copy_from_slice(&xd[src + hi * dh..src + (hi + 1) * dh]);
-            }
-        }
-    }
-    Tensor::from_vec([b * h, t, dh], out)
-}
-
-fn merge_heads_raw(x: &Tensor, b: usize, t: usize, dh: usize, h: usize) -> Tensor {
-    let d = dh * h;
-    let mut out = vec![0.0f32; b * t * d];
-    let xd = x.data();
-    for bi in 0..b {
-        for hi in 0..h {
-            for ti in 0..t {
-                let src = ((bi * h + hi) * t + ti) * dh;
-                let dst = (bi * t + ti) * d + hi * dh;
-                out[dst..dst + dh].copy_from_slice(&xd[src..src + dh]);
-            }
-        }
-    }
-    Tensor::from_vec([b, t, d], out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,31 +290,6 @@ mod tests {
         let mut t = Tape::new();
         let table = t.leaf(Tensor::zeros([3, 2]));
         t.embedding(table, &[3], &[1]);
-    }
-
-    #[test]
-    fn head_split_merge_roundtrip() {
-        let mut t = Tape::new();
-        let data: Vec<f32> = (0..2 * 3 * 4).map(|i| i as f32).collect();
-        let x = t.leaf(Tensor::from_vec([2, 3, 4], data.clone()));
-        let split = t.split_heads(x, 2);
-        assert_eq!(t.value(split).shape().dims(), &[4, 3, 2]);
-        let merged = t.merge_heads(split, 2);
-        assert_eq!(t.value(merged).data(), &data[..]);
-        // gradient roundtrips too
-        let s = t.sum_all(merged);
-        let g = t.backward(s);
-        assert_eq!(g.get(x).unwrap().data(), &vec![1.0; 24][..]);
-    }
-
-    #[test]
-    fn split_heads_layout_is_head_major() {
-        let mut t = Tape::new();
-        // B=1, T=2, d=4, h=2: row t has [h0_0, h0_1, h1_0, h1_1]
-        let x = t.leaf(Tensor::from_vec([1, 2, 4], vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]));
-        let sp = t.split_heads(x, 2);
-        // head 0: [[0,1],[4,5]]; head 1: [[2,3],[6,7]]
-        assert_eq!(t.value(sp).data(), &[0.0, 1.0, 4.0, 5.0, 2.0, 3.0, 6.0, 7.0]);
     }
 
     #[test]

@@ -22,7 +22,9 @@ impl Tape {
         assert!(targets.iter().all(|&t| (t as usize) < c), "target class out of range 0..{c}");
 
         // Probabilities are saved for the backward pass.
-        let probs = Tensor::from_vec([n, c], softmax_rows(lv.data(), c));
+        let mut probs = vec![0.0f32; n * c];
+        softmax_rows(lv.data(), c, &mut probs);
+        let probs = Tensor::from_vec([n, c], probs);
         let losses: Vec<f32> = probs
             .data()
             .chunks(c)

@@ -1,43 +1,6 @@
-//! Attention masking.
+//! Additive attention masks for [`Tape::attention`](crate::Tape::attention).
 
-use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
-
-impl Tape {
-    /// Adds a per-batch additive attention mask to multi-head scores:
-    /// `scores` is `[B*h, T, T]`, `mask` is `[B, T, T]` (typically
-    /// `0` for allowed, `-1e9` for disallowed pairs), broadcast across the
-    /// `h` heads of each batch element. The mask is a constant — no gradient
-    /// is recorded for it.
-    ///
-    /// # Panics
-    /// Panics if the shapes are inconsistent with `h`.
-    pub fn add_attn_mask(&mut self, scores: Var, mask: &Tensor, h: usize) -> Var {
-        let sv = self.value(scores);
-        assert_eq!(sv.shape().rank(), 3, "scores must be [B*h,T,T], got {}", sv.shape());
-        assert_eq!(mask.shape().rank(), 3, "mask must be [B,T,T], got {}", mask.shape());
-        let (bh, tq, tk) = (sv.shape().dim(0), sv.shape().dim(1), sv.shape().dim(2));
-        let (b, mq, mk) = (mask.shape().dim(0), mask.shape().dim(1), mask.shape().dim(2));
-        assert!(h > 0 && bh == b * h, "scores batch {bh} != mask batch {b} × heads {h}");
-        assert_eq!((tq, tk), (mq, mk), "mask matrix dims differ from scores");
-
-        let stride = tq * tk;
-        let mut out = sv.clone();
-        {
-            let od = out.data_mut();
-            for bi in 0..b {
-                let m = &mask.data()[bi * stride..(bi + 1) * stride];
-                for hi in 0..h {
-                    let dst = &mut od[(bi * h + hi) * stride..(bi * h + hi + 1) * stride];
-                    for (o, &mv) in dst.iter_mut().zip(m) {
-                        *o += mv;
-                    }
-                }
-            }
-        }
-        self.push(out, vec![scores], Some(Box::new(|g: &Tensor| vec![g.clone()])))
-    }
-}
 
 /// Builds the additive attention mask for a left-padded batch:
 /// position `q` may attend to position `k` iff `k <= q` (causality) and
@@ -86,29 +49,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mask_broadcasts_over_heads() {
-        let mut t = Tape::new();
-        let scores = t.leaf(Tensor::zeros([2, 2, 2])); // B=1, h=2
-        let mask = Tensor::from_vec([1, 2, 2], vec![0.0, -1e9, 0.0, 0.0]);
-        let y = t.add_attn_mask(scores, &mask, 2);
-        let v = t.value(y);
-        // both heads receive the same mask
-        assert_eq!(v.data()[..4], [0.0, -1e9, 0.0, 0.0]);
-        assert_eq!(v.data()[4..], [0.0, -1e9, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn gradient_passes_straight_through() {
-        let mut t = Tape::new();
-        let scores = t.leaf(Tensor::zeros([1, 2, 2]));
-        let mask = Tensor::zeros([1, 2, 2]);
-        let y = t.add_attn_mask(scores, &mask, 1);
-        let s = t.sum_all(y);
-        let g = t.backward(s);
-        assert_eq!(g.get(scores).unwrap().data(), &[1.0; 4]);
-    }
-
-    #[test]
     fn causal_mask_blocks_future_and_pads() {
         // one sequence, T=3, first position is padding
         let m = causal_padding_mask(&[vec![false, true, true]], 3);
@@ -131,20 +71,5 @@ mod tests {
         assert_eq!(d[3], -1e9);
         assert_eq!(d[4], 0.0);
         assert_eq!(d[5], 0.0);
-    }
-
-    #[test]
-    fn softmax_after_mask_ignores_blocked_keys() {
-        let mut t = Tape::new();
-        let scores = t.leaf(Tensor::zeros([1, 2, 2]));
-        let mask = causal_padding_mask(&[vec![true, true]], 2);
-        let masked = t.add_attn_mask(scores, &mask, 1);
-        let probs = t.softmax(masked);
-        let v = t.value(probs);
-        // row q=0 attends only to k=0
-        assert!((v.at(0) - 1.0).abs() < 1e-6);
-        assert!(v.at(1) < 1e-6);
-        // row q=1 attends uniformly
-        assert!((v.at(2) - 0.5).abs() < 1e-6);
     }
 }

@@ -29,32 +29,6 @@ impl Tape {
         )
     }
 
-    /// Batched matrix product over identical leading dims:
-    /// `[..,m,k]·[..,k,n] -> [..,m,n]` (attention `softmax·V`).
-    pub fn bmm(&mut self, a: Var, b: Var) -> Var {
-        let av = self.value(a).clone();
-        let bv = self.value(b).clone();
-        let out = linalg::bmm_nn(&av, &bv);
-        self.push(
-            out,
-            vec![a, b],
-            Some(Box::new(move |g: &Tensor| vec![linalg::bmm_nt(g, &bv), linalg::bmm_tn(&av, g)])),
-        )
-    }
-
-    /// Batched product against transposed right operand:
-    /// `[..,m,k]·[..,n,k] -> [..,m,n]` (attention `Q·Kᵀ`).
-    pub fn bmm_nt(&mut self, a: Var, b: Var) -> Var {
-        let av = self.value(a).clone();
-        let bv = self.value(b).clone();
-        let out = linalg::bmm_nt(&av, &bv);
-        self.push(
-            out,
-            vec![a, b],
-            Some(Box::new(move |g: &Tensor| vec![linalg::bmm_nn(g, &bv), linalg::bmm_tn(g, &av)])),
-        )
-    }
-
     /// Reinterprets the value under a new shape (same element count); the
     /// gradient is reshaped back. Free: storage is shared.
     pub fn reshape(&mut self, x: Var, shape: impl Into<Shape>) -> Var {
@@ -126,20 +100,6 @@ mod tests {
         let (va, vb) = (t.leaf(a.clone()), t.leaf(b.clone()));
         let c = t.matmul_nt(va, vb);
         assert!(t.value(c).max_diff(&linalg::matmul_nn(&a, &b.transpose2())) < 1e-6);
-    }
-
-    #[test]
-    fn bmm_gradients_flow_to_both_operands() {
-        let mut r = rng(23);
-        let a = uniform([2, 3, 4], -1.0, 1.0, &mut r);
-        let b = uniform([2, 4, 3], -1.0, 1.0, &mut r);
-        let mut t = Tape::new();
-        let (va, vb) = (t.leaf(a), t.leaf(b));
-        let c = t.bmm(va, vb);
-        let s = t.sum_all(c);
-        let g = t.backward(s);
-        assert_eq!(g.get(va).unwrap().shape().dims(), &[2, 3, 4]);
-        assert_eq!(g.get(vb).unwrap().shape().dims(), &[2, 4, 3]);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! (masks) are captured by value and never receive gradients.
 
 mod activations;
+mod attention;
 mod basic;
 mod embedding;
 mod loss;
@@ -16,6 +17,7 @@ mod window;
 
 pub use mask::{causal_padding_mask, padding_mask};
 pub use norm::DROPOUT_CHUNK;
+pub use softmax::softmax_rows;
 
 use crate::tensor::Tensor;
 

@@ -144,24 +144,10 @@ impl Tape {
         out.par_chunks_mut(DROPOUT_CHUNK)
             .zip(kept.par_chunks_mut(DROPOUT_CHUNK))
             .enumerate()
-            // `move` copies the captured scalars into the closure; captured
-            // by reference, the loop ran about 1.6 times slower per element.
-            .for_each(move |(c, (out, kept))| {
+            .for_each(|(c, (out, kept))| {
                 let start = c * DROPOUT_CHUNK;
-                let mut r = stream.clone();
-                r.set_word_pos(base + start as u128);
                 let x = &xv.data()[start..start + out.len()];
-                let mut draws = [0.0f32; DRAW_RUN];
-                let runs = out.chunks_mut(DRAW_RUN).zip(kept.chunks_mut(DRAW_RUN));
-                for ((out, kept), x) in runs.zip(x.chunks(DRAW_RUN)) {
-                    let draws = &mut draws[..out.len()];
-                    draws.iter_mut().for_each(|u| *u = r.gen::<f32>());
-                    for (((o, k), &v), &u) in out.iter_mut().zip(kept).zip(x).zip(&*draws) {
-                        let survives = u < keep;
-                        *k = u8::from(survives);
-                        *o = v * if survives { scale } else { 0.0 };
-                    }
-                }
+                dropout_draw(stream, base + start as u128, keep, x, out, kept);
             });
         rng.set_word_pos(base + n as u128);
         let out = Tensor::from_vec(xv.shape().clone(), out);
@@ -175,6 +161,35 @@ impl Tape {
                 vec![Tensor::from_vec(g.shape().clone(), dx)]
             })),
         )
+    }
+}
+
+/// Draws the dropout keep mask of `x` from words `word0..word0 + x.len()`
+/// of `stream` (on a clone seeked to `word0`): element `i` survives iff its
+/// word, read as `gen::<f32>()`, is below `keep`. Writes `x * (1/keep)` or
+/// `x * 0.0` into `out` and the keep byte into `kept`. [`Tape::dropout`]
+/// and [`Tape::attention`] draw every mask through this one function.
+pub(crate) fn dropout_draw(
+    stream: &TensorRng,
+    word0: u128,
+    keep: f32,
+    x: &[f32],
+    out: &mut [f32],
+    kept: &mut [u8],
+) {
+    let scale = 1.0 / keep;
+    let mut r = stream.clone();
+    r.set_word_pos(word0);
+    let mut draws = [0.0f32; DRAW_RUN];
+    let runs = out.chunks_mut(DRAW_RUN).zip(kept.chunks_mut(DRAW_RUN));
+    for ((out, kept), x) in runs.zip(x.chunks(DRAW_RUN)) {
+        let draws = &mut draws[..out.len()];
+        draws.iter_mut().for_each(|u| *u = r.gen::<f32>());
+        for (((o, k), &v), &u) in out.iter_mut().zip(kept).zip(x).zip(&*draws) {
+            let survives = u < keep;
+            *k = u8::from(survives);
+            *o = v * if survives { scale } else { 0.0 };
+        }
     }
 }
 

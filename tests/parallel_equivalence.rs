@@ -1,7 +1,7 @@
 //! Parallel-vs-serial equivalence: pins the determinism contract of the
 //! multi-threaded training stack.
 //!
-//! Three claims are checked:
+//! Five claims are checked:
 //! 1. Augmented contrastive batches are **bit-exact** across pool sizes —
 //!    per-sequence ChaCha substreams make the sampled views a function of
 //!    `(aug_base, sequence index)` only, never of worker count.
@@ -15,6 +15,10 @@
 //!    it cuts `C` into one row band per worker (fewer `MC`-row blocks than
 //!    workers, several `KC` blocks): every element still sums the same
 //!    `KC` blocks in order through the same microkernel.
+//! 5. Fused attention is **bit-exact** across pool sizes: each sequence is
+//!    one pool task that runs its heads in order, and each head slice
+//!    draws its dropout mask from the caller's stream seeked to the
+//!    slice's first weight.
 
 use cp4rec_repro::cl4srec::{AugmentationSet, Cl4sRec, Cl4sRecConfig};
 use cp4rec_repro::data::{Dataset, Split};
@@ -181,6 +185,65 @@ fn packed_gemm_is_bit_exact_across_pool_sizes() {
                     let par = pool(threads).install(run);
                     for (layout, (s, p)) in ["nn", "nt", "tn"].iter().zip(serial.iter().zip(&par)) {
                         assert!(s == p, "{layout} {m}x{k}x{n} differs on {threads} workers");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Claim 5: on pools of 1, 2 and 4 workers, `Tape::attention` returns the
+/// same output, q/k/v gradients and next rng draw, with queries at every
+/// position (`Tq = T`) and at the last only (`Tq = 1`), under the causal
+/// and the padding-only mask, in training at p = 0.2 and at inference.
+/// Sequences are left-padded to different lengths. The encoder-sized case
+/// (T = 50, d = 64, h = 2) runs its head products through the packed GEMM,
+/// the small one through the direct kernels.
+#[test]
+fn attention_is_bit_exact_across_pool_sizes() {
+    use cp4rec_repro::tensor::ops::{causal_padding_mask, padding_mask};
+    use cp4rec_repro::tensor::{init, Tape, Tensor};
+    let bits = |t: &Tensor| t.data().iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+    for (b, t, d, h) in [(5usize, 7usize, 8usize, 2usize), (6, 50, 64, 2)] {
+        let valid: Vec<Vec<bool>> = (0..b)
+            .map(|i| {
+                let real = 1 + (i * 5) % t;
+                (0..t).map(|j| j >= t - real).collect()
+            })
+            .collect();
+        for causal in [true, false] {
+            let full =
+                if causal { causal_padding_mask(&valid, t) } else { padding_mask(&valid, t) };
+            let last: Vec<f32> =
+                full.data().chunks(t * t).flat_map(|m| &m[(t - 1) * t..]).copied().collect();
+            let last = Tensor::from_vec([b, 1, t], last);
+            for (tq, mask) in [(t, &full), (1, &last)] {
+                let q = init::normal([b, tq, d], 1.0, &mut rng(1));
+                let k = init::normal([b, t, d], 1.0, &mut rng(2));
+                let v = init::normal([b, t, d], 1.0, &mut rng(3));
+                let upstream = init::normal([b, tq, d], 1.0, &mut rng(4));
+                for training in [true, false] {
+                    let run = || {
+                        let mut r = rng(7);
+                        for _ in 0..5 {
+                            r.next_u32();
+                        }
+                        let mut tape = Tape::new();
+                        let (vq, vk, vv) =
+                            (tape.leaf(q.clone()), tape.leaf(k.clone()), tape.leaf(v.clone()));
+                        let y = tape.attention(vq, vk, vv, mask, h, 0.2, training, &mut r);
+                        let weighted = tape.mul_const(y, &upstream);
+                        let loss = tape.sum_all(weighted);
+                        let grads = tape.backward(loss);
+                        let grad = |x| bits(grads.get(x).expect("gradient"));
+                        (bits(tape.value(y)), grad(vq), grad(vk), grad(vv), r.next_u32())
+                    };
+                    let serial = pool(1).install(run);
+                    for threads in [2, 4] {
+                        let what = format!(
+                            "{threads} workers, T = {t}, Tq = {tq}, causal {causal}, training {training}"
+                        );
+                        assert!(pool(threads).install(run) == serial, "{what}");
                     }
                 }
             }
