@@ -44,6 +44,15 @@ pub trait StatefulScorer: SequenceScorer {
     /// `num_items() + 1` score vector per row, same layout as
     /// [`SequenceScorer::score_full_catalog`].
     fn score_states(&self, states: &[f32]) -> Vec<Vec<f32>>;
+
+    /// How many users the model has a learned row for, so callers can
+    /// reject an unknown user index before [`encode_users`] asserts on it;
+    /// `None` (the default) when the model reads only the history.
+    ///
+    /// [`encode_users`]: StatefulScorer::encode_users
+    fn num_users(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// Which held-out item to predict.
@@ -103,8 +112,11 @@ pub fn evaluate(
         };
         assert_eq!(scores.len(), chunk.len(), "scorer returned wrong batch size");
 
+        // Rank in parallel, then accumulate in user order: the f64 sums then
+        // run in one fixed order, so the metrics carry the same bits at
+        // every pool size.
         let _rank = seqrec_obs::span!("eval.rank");
-        let shard = chunk
+        let ranks: Vec<usize> = chunk
             .par_iter()
             .zip(scores.par_iter())
             .map(|(&u, s)| {
@@ -116,21 +128,10 @@ pub fn evaluate(
                 let exclude = split.user_items(u);
                 rank_of_target(s, goal, &exclude)
             })
-            .fold(
-                || MetricsAccumulator::new(&opts.ks),
-                |mut m, rank| {
-                    m.push(rank);
-                    m
-                },
-            )
-            .reduce(
-                || MetricsAccumulator::new(&opts.ks),
-                |mut a, b| {
-                    a.merge(&b);
-                    a
-                },
-            );
-        acc.merge(&shard);
+            .collect();
+        for rank in ranks {
+            acc.push(rank);
+        }
     }
     acc.finish()
 }

@@ -120,20 +120,6 @@ impl MetricsAccumulator {
         }
     }
 
-    /// Merges another accumulator (for parallel evaluation shards).
-    ///
-    /// # Panics
-    /// Panics if the cut-offs differ.
-    pub fn merge(&mut self, other: &MetricsAccumulator) {
-        assert_eq!(self.ks, other.ks, "cannot merge accumulators with different ks");
-        for i in 0..self.ks.len() {
-            self.hits[i] += other.hits[i];
-            self.ndcg[i] += other.ndcg[i];
-        }
-        self.mrr += other.mrr;
-        self.users += other.users;
-    }
-
     /// Finalises into averages.
     pub fn finish(&self) -> RankingMetrics {
         let n = self.users.max(1) as f64;
@@ -196,29 +182,6 @@ mod tests {
         assert!((m.ndcg_at(2) - expected_ndcg2).abs() < 1e-12);
         let expected_mrr = (1.0 + 0.5 + 1.0 / 6.0) / 3.0;
         assert!((m.mrr - expected_mrr).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_sequential_accumulation() {
-        let mut a = MetricsAccumulator::paper();
-        let mut b = MetricsAccumulator::paper();
-        let mut whole = MetricsAccumulator::paper();
-        for (i, &r) in [0usize, 3, 7, 12, 25].iter().enumerate() {
-            whole.push(r);
-            if i % 2 == 0 {
-                a.push(r);
-            } else {
-                b.push(r);
-            }
-        }
-        a.merge(&b);
-        let (ma, mw) = (a.finish(), whole.finish());
-        assert_eq!(ma.users, mw.users);
-        assert_eq!(ma.hr, mw.hr);
-        for (x, y) in ma.ndcg.iter().zip(&mw.ndcg) {
-            assert!((x - y).abs() < 1e-12);
-        }
-        assert!((ma.mrr - mw.mrr).abs() < 1e-12);
     }
 
     #[test]

@@ -136,35 +136,6 @@ proptest! {
         prop_assert!((m.mrr - bf_mrr / n).abs() < 1e-12);
     }
 
-    /// Merging the accumulators of an *arbitrary* sharding of the user
-    /// population — any number of shards, any assignment, including empty
-    /// shards — equals pushing every rank sequentially.
-    #[test]
-    fn merge_of_arbitrary_shards_equals_sequential_push(
-        ranks in proptest::collection::vec(0usize..200, 1..60),
-        num_shards in 1usize..6,
-        assign_seed in proptest::collection::vec(0usize..6, 60),
-    ) {
-        let mut whole = MetricsAccumulator::paper();
-        let mut shards: Vec<MetricsAccumulator> =
-            (0..num_shards).map(|_| MetricsAccumulator::paper()).collect();
-        for (i, &r) in ranks.iter().enumerate() {
-            whole.push(r);
-            shards[assign_seed[i] % num_shards].push(r);
-        }
-        let mut merged = shards.remove(0);
-        for s in &shards {
-            merged.merge(s);
-        }
-        let (mm, mw) = (merged.finish(), whole.finish());
-        prop_assert_eq!(mm.users, mw.users);
-        prop_assert_eq!(&mm.hr, &mw.hr, "HR differs");
-        for (a, b) in mm.ndcg.iter().zip(&mw.ndcg) {
-            prop_assert!((a - b).abs() < 1e-9, "NDCG differs: {a} vs {b}");
-        }
-        prop_assert!((mm.mrr - mw.mrr).abs() < 1e-9, "MRR differs");
-    }
-
     /// MRR is bounded below by NDCG-at-infinity intuition: rank 0 users
     /// contribute 1.0 to all three; a rank beyond every k contributes only
     /// to MRR.

@@ -16,8 +16,8 @@
 
 use cl4srec::augment::{AugmentationSet, Identity, Mask};
 use cl4srec::model::{Cl4sRec, Cl4sRecConfig};
-use seqrec_bench::args::ExpArgs;
-use seqrec_bench::runners::{
+use seqrec_experiments::args::ExpArgs;
+use seqrec_experiments::runners::{
     eval_test, maybe_write_json, prepare, pretrain_opts, run_sasrec_with, train_opts, ExpRun,
 };
 use serde::Serialize;

@@ -9,8 +9,10 @@
 //! ```
 
 use cl4srec::augment::{AugmentationSet, Crop, Mask, Reorder};
-use seqrec_bench::args::ExpArgs;
-use seqrec_bench::runners::{maybe_write_json, prepare, run_cl4srec_with, run_sasrec_with, ExpRun};
+use seqrec_experiments::args::ExpArgs;
+use seqrec_experiments::runners::{
+    maybe_write_json, prepare, run_cl4srec_with, run_sasrec_with, ExpRun,
+};
 use serde::Serialize;
 
 /// The rates swept by the paper.

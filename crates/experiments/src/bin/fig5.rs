@@ -8,8 +8,8 @@
 //! ```
 
 use cl4srec::augment::{AugmentationSet, Crop, Mask, Reorder};
-use seqrec_bench::args::ExpArgs;
-use seqrec_bench::runners::{maybe_write_json, prepare, run_cl4srec_with, ExpRun};
+use seqrec_experiments::args::ExpArgs;
+use seqrec_experiments::runners::{maybe_write_json, prepare, run_cl4srec_with, ExpRun};
 use serde::Serialize;
 
 /// Per-operator rates used for composition (the paper composes each

@@ -5,9 +5,9 @@
 //! cargo run --release -p seqrec-experiments --bin table1 [-- --scale 0.04]
 //! ```
 
-use seqrec_bench::args::ExpArgs;
-use seqrec_bench::runners::{maybe_write_json, prepare, ExpRun};
 use seqrec_eval::report::stats_markdown;
+use seqrec_experiments::args::ExpArgs;
+use seqrec_experiments::runners::{maybe_write_json, prepare, ExpRun};
 
 fn main() {
     let _obs = seqrec_obs::init_from_env();

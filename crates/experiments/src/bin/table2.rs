@@ -6,9 +6,9 @@
 //! cargo run --release -p seqrec-experiments --bin table2 [-- --scale 0.04 --datasets beauty]
 //! ```
 
-use seqrec_bench::args::ExpArgs;
-use seqrec_bench::runners::{maybe_write_json, prepare, run_method, ExpRun, METHOD_ORDER};
 use seqrec_eval::DatasetResults;
+use seqrec_experiments::args::ExpArgs;
+use seqrec_experiments::runners::{maybe_write_json, prepare, run_method, ExpRun, METHOD_ORDER};
 
 fn main() {
     let _obs = seqrec_obs::init_from_env();

@@ -156,6 +156,9 @@ impl StatefulScorer for BprMf {
         let scores = linalg::matmul_nt(&u_mat, self.item_emb.value());
         scores.data().chunks(self.num_items + 1).map(<[f32]>::to_vec).collect()
     }
+    fn num_users(&self) -> Option<usize> {
+        Some(self.num_users)
+    }
 }
 
 #[cfg(test)]

@@ -330,6 +330,9 @@ impl StatefulScorer for Caser {
             .map(|row| row.iter().zip(self.out_b.value().data()).map(|(&s, &b)| s + b).collect())
             .collect()
     }
+    fn num_users(&self) -> Option<usize> {
+        Some(self.num_users)
+    }
 }
 
 #[cfg(test)]

@@ -379,7 +379,7 @@ pub fn serial_step<M: HasParams + ?Sized>(
     let loss = step.tape.value(loss).item();
     // Each parameter's tape leaf shares that parameter's buffer, so while
     // the tape lives Adam's in-place update would copy every parameter
-    // first. `step` stays: its id still resolves `Param::grad`.
+    // first. `step` stays: its bindings still resolve `Param::grad`.
     step.tape = Tape::default();
     let stats = adam.step_with_stats(model, &step, &grads);
     (loss, stats)

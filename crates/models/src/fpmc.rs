@@ -204,6 +204,9 @@ impl StatefulScorer for Fpmc {
         let mc = linalg::matmul_nt(&Tensor::from_vec([b, d], l_rows), self.item_il.value());
         mf.add(&mc).data().chunks(v).map(<[f32]>::to_vec).collect()
     }
+    fn num_users(&self) -> Option<usize> {
+        Some(self.num_users)
+    }
 }
 
 #[cfg(test)]

@@ -185,6 +185,9 @@ impl StatefulScorer for Ncf {
     fn score_states(&self, states: &[f32]) -> Vec<Vec<f32>> {
         states.chunks(self.num_items + 1).map(<[f32]>::to_vec).collect()
     }
+    fn num_users(&self) -> Option<usize> {
+        Some(self.num_users)
+    }
 }
 
 #[cfg(test)]

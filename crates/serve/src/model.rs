@@ -112,4 +112,7 @@ impl StatefulScorer for AnyModel {
     fn score_states(&self, states: &[f32]) -> Vec<Vec<f32>> {
         dispatch!(self, m => m.score_states(states))
     }
+    fn num_users(&self) -> Option<usize> {
+        dispatch!(self, m => StatefulScorer::num_users(m))
+    }
 }

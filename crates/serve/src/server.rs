@@ -14,9 +14,11 @@
 //! to the same request served alone (`tests/serve_parity.rs`).
 //!
 //! A request whose history names an item outside the model's catalog
-//! (`1..=num_items`) is rejected before the batch is encoded: its client
-//! gets `None`, `serve.errors` counts it, and the rest of the batch is
-//! served with the bits it would have had anyway (`tests/serve_admission.rs`).
+//! (`1..=num_items`), or whose user index is past the model's user table
+//! ([`StatefulScorer::num_users`]), is rejected before the batch is encoded:
+//! its client gets `None`, `serve.errors` counts it, and the rest of the
+//! batch is served with the bits it would have had anyway
+//! (`tests/serve_admission.rs`).
 //!
 //! ## Observability
 //!
@@ -85,9 +87,10 @@ impl ServeClient {
     /// Scores `history` for `user` and returns the top `k` items, blocking
     /// until the server has run the batch containing this request.
     ///
-    /// Returns `None` if the server has shut down, or if `history` names an
-    /// item outside the model's catalog `1..=num_items`: the worker rejects
-    /// such a request before encoding and serves the rest of its batch.
+    /// Returns `None` if the server has shut down, if `history` names an
+    /// item outside the model's catalog `1..=num_items`, or if `user` is
+    /// past the model's user table: the worker rejects such a request
+    /// before encoding and serves the rest of its batch.
     pub fn recommend(&self, user: usize, history: &[u32], k: usize) -> Option<Vec<Recommendation>> {
         let req = NEXT_REQ_ID.fetch_add(1, Ordering::Relaxed);
         let enqueued_us = sink::now_us();
@@ -187,14 +190,18 @@ fn worker_loop<M: StatefulScorer>(
         metrics::SERVE_BATCH_OCCUPANCY_PCT.record((batch.len() * 100 / cfg.max_batch) as u64);
 
         // An item id outside the catalog would index past the model's
-        // embedding tables and panic this thread, failing every later
-        // request. Such a request is answered with `None` (its reply sender
-        // dropped) and counted as an error before the batch is encoded; the
-        // rest of the batch is encoded and scored as if it had come alone.
+        // embedding tables, and a user index past the model's user table
+        // trips its `assert!`: either panics this thread, failing every
+        // later request. Such a request is answered with `None` (its reply
+        // sender dropped) and counted as an error before the batch is
+        // encoded; the rest of the batch is encoded and scored as if it had
+        // come alone.
         let catalog = 1..=service.model().num_items();
-        let (batch, rejected): (Vec<_>, Vec<_>) = batch
-            .into_iter()
-            .partition(|r| r.inner.history.iter().all(|&i| catalog.contains(&(i as usize))));
+        let num_users = service.model().num_users();
+        let (batch, rejected): (Vec<_>, Vec<_>) = batch.into_iter().partition(|r| {
+            num_users.is_none_or(|n| r.inner.user < n)
+                && r.inner.history.iter().all(|&i| catalog.contains(&(i as usize)))
+        });
         for r in rejected {
             metrics::SERVE_ERRORS.incr();
             metrics::SERVE_IN_FLIGHT.add(-1);

@@ -37,9 +37,9 @@
 //!   `SEQREC_THREADS` / available parallelism (`shims/README.md`);
 //!   because the bands are disjoint, results are bit-identical at every
 //!   pool size, and `SEQREC_THREADS=1` is a guaranteed serial mode.
-//!   Committed benchmark numbers record the pool size they were measured
-//!   at (`BENCH_matmul.json`'s `environment` block; `benchmark/run.sh`
-//!   pins `SEQREC_THREADS=2` and prints the pool size with every run).
+//!   Benchmark numbers record the pool size they were measured at
+//!   (`benchmark/run.sh` pins `SEQREC_THREADS=2` and prints the pool size
+//!   with every run).
 //!
 //! ### Retuning
 //!

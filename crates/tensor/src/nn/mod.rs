@@ -9,5 +9,5 @@ pub(crate) mod state;
 pub use embedding::Embedding;
 pub use layernorm::LayerNorm;
 pub use linear::Linear;
-pub use param::{HasParams, Param, Step, TapeId};
+pub use param::{HasParams, Param, Step};
 pub use state::{load_state_dict, state_dict, LoadError, NamedTensor, StateDict};

@@ -1,47 +1,35 @@
 //! Trainable parameters and their per-step binding to a tape.
 //!
 //! A [`Param`] owns its value across steps. Each training step builds a fresh
-//! [`Tape`]; the first time a parameter is used on a given tape it is
-//! inserted as a leaf and the resulting [`Var`] is cached, so a parameter
-//! used by several sub-graphs (e.g. the item-embedding table shared between
-//! two augmented views) accumulates all its gradients in one place.
+//! [`Step`]; the first time a parameter is used on a given step it is
+//! inserted as a leaf of the step's tape and the resulting [`Var`] is
+//! recorded in the step, so a parameter used by several sub-graphs (e.g. the
+//! item-embedding table shared between two augmented views) accumulates all
+//! its gradients in one place.
 //!
-//! The binding cache holds one entry **per live tape**, behind a mutex, so
-//! several steps may bind the same `&model` at once (interleaved on one
-//! thread or on different threads) and each keeps its one-var-per-tape
-//! accumulation invariant without clobbering the others' bindings.
+//! The bindings belong to the step, keyed by an id each parameter draws once
+//! at construction, so any number of live steps may bind the same `&model`
+//! at once and each keeps its own one-var-per-parameter accumulation.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use crate::tape::{Gradients, Tape, Var};
 use crate::tensor::Tensor;
 
-static TAPE_EPOCH: AtomicU64 = AtomicU64::new(1);
+static NEXT_PARAM_ID: AtomicU64 = AtomicU64::new(0);
 
-/// Tapes carry a process-unique epoch so cached bindings can detect a stale
-/// tape. Generated once per [`TapeId::fresh`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TapeId(u64);
-
-impl TapeId {
-    /// A new process-unique id.
-    pub fn fresh() -> Self {
-        TapeId(TAPE_EPOCH.fetch_add(1, Ordering::Relaxed))
-    }
-}
-
-/// A training step's tape plus its identity, used to bind parameters.
+/// A training step's tape plus the tape leaf each parameter is bound to.
 pub struct Step {
     /// The autograd tape for this step.
     pub tape: Tape,
-    id: TapeId,
+    bindings: HashMap<u64, Var>,
 }
 
 impl Step {
     /// Starts a new step with an empty tape.
     pub fn new() -> Self {
-        Step { tape: Tape::new(), id: TapeId::fresh() }
+        Step { tape: Tape::new(), bindings: HashMap::new() }
     }
 }
 
@@ -51,26 +39,19 @@ impl Default for Step {
     }
 }
 
-/// How many per-tape bindings a parameter keeps before evicting the
-/// oldest: the most steps that may bind one parameter at the same time.
-const MAX_BINDINGS: usize = 16;
-
 /// A named trainable tensor.
 pub struct Param {
     name: String,
     value: Tensor,
-    binding: Mutex<Vec<(TapeId, Var)>>,
+    /// Process-unique key of this parameter's binding in a [`Step`].
+    id: u64,
 }
 
 impl Param {
     /// Creates a parameter with a diagnostic name (also the optimizer-state
     /// key, so names must be unique within one model).
     pub fn new(name: impl Into<String>, value: Tensor) -> Self {
-        Param { name: name.into(), value, binding: Mutex::new(Vec::new()) }
-    }
-
-    fn bindings(&self) -> std::sync::MutexGuard<'_, Vec<(TapeId, Var)>> {
-        self.binding.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        Param { name: name.into(), value, id: NEXT_PARAM_ID.fetch_add(1, Ordering::Relaxed) }
     }
 
     /// The parameter's name.
@@ -83,9 +64,9 @@ impl Param {
         &self.value
     }
 
-    /// Mutable access for optimizers and custom initialisation.
+    /// Mutable access for optimizers and custom initialisation, between
+    /// steps: a step that already bound this parameter keeps the old value.
     pub fn value_mut(&mut self) -> &mut Tensor {
-        self.bindings().clear(); // any recorded binding now refers to old data
         &mut self.value
     }
 
@@ -100,27 +81,16 @@ impl Param {
     }
 
     /// Binds this parameter to the step's tape, inserting it as a leaf on
-    /// first use and reusing the same var afterwards. Safe to call from
-    /// several threads with *different* steps (each tape gets its own
-    /// binding entry); a single `Step` is still single-threaded by `&mut`.
+    /// first use and reusing the same var afterwards.
     pub fn var(&self, step: &mut Step) -> Var {
-        let mut b = self.bindings();
-        if let Some(&(_, var)) = b.iter().find(|(id, _)| *id == step.id) {
-            return var;
-        }
-        let var = step.tape.leaf(self.value.clone());
-        if b.len() >= MAX_BINDINGS {
-            b.remove(0);
-        }
-        b.push((step.id, var));
-        var
+        let Step { tape, bindings } = step;
+        *bindings.entry(self.id).or_insert_with(|| tape.leaf(self.value.clone()))
     }
 
     /// The gradient this parameter received on `step`, if it was used and
     /// influenced the loss.
     pub fn grad<'g>(&self, step: &Step, grads: &'g Gradients) -> Option<&'g Tensor> {
-        let b = self.bindings();
-        b.iter().find(|(id, _)| *id == step.id).and_then(|&(_, var)| grads.get(var))
+        step.bindings.get(&self.id).and_then(|&var| grads.get(var))
     }
 }
 
@@ -197,33 +167,18 @@ mod tests {
     }
 
     #[test]
-    fn mutating_value_invalidates_binding() {
-        let mut p = Param::new("w", Tensor::ones([1]));
-        let mut step = Step::new();
-        let _ = p.var(&mut step);
-        p.value_mut().data_mut()[0] = 9.0;
-        // binding cleared → re-binding picks up the new value
-        let v = p.var(&mut step);
-        assert_eq!(step.tape.value(v).item(), 9.0);
-    }
-
-    #[test]
     fn interleaved_steps_keep_independent_bindings() {
-        // Two steps bind one shared parameter at once; one step's binding
-        // must not clobber the other's.
+        // Seventeen steps bind one shared parameter at once; no step's
+        // binding may clobber or evict another's.
         let p = Param::new("w", Tensor::from_vec([1], vec![2.0]));
-        let mut s1 = Step::new();
-        let mut s2 = Step::new();
-        let v1 = p.var(&mut s1);
-        let v2 = p.var(&mut s2);
-        let a1 = s1.tape.scale(v1, 3.0);
-        let l1 = s1.tape.sum_all(a1);
-        let g1 = s1.tape.backward(l1);
-        let a2 = s2.tape.scale(v2, 5.0);
-        let l2 = s2.tape.sum_all(a2);
-        let g2 = s2.tape.backward(l2);
-        assert_eq!(p.grad(&s1, &g1).unwrap().data(), &[3.0]);
-        assert_eq!(p.grad(&s2, &g2).unwrap().data(), &[5.0]);
+        let mut steps: Vec<Step> = (0..17).map(|_| Step::new()).collect();
+        let vars: Vec<Var> = steps.iter_mut().map(|s| p.var(s)).collect();
+        for (i, (step, v)) in steps.iter_mut().zip(vars).enumerate() {
+            let a = step.tape.scale(v, i as f32 + 1.0);
+            let loss = step.tape.sum_all(a);
+            let grads = step.tape.backward(loss);
+            assert_eq!(p.grad(step, &grads).unwrap().data(), &[i as f32 + 1.0], "step {i}");
+        }
     }
 
     #[test]

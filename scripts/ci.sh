@@ -50,17 +50,21 @@ bash benchmark/run.sh --smoke
 # every fit loop (the seven next-item baselines, SASRec_BPR's two stages,
 # CL4SRec pre-training and fine-tuning) and evaluates each method, with the
 # JSONL sink, the full allocation trace and the exposition dump switched on.
+# Its markdown (stdout) and JSON results are kept per pool size and compared
+# after the loop.
 SMOKE_RUNS="target/ci_smoke_runs"
 for SMOKE_THREADS in 1 2; do
 echo "== instrumented smoke run of table2x at SEQREC_THREADS=$SMOKE_THREADS (JSONL sink + mem trace + exposition dump + run ledger)"
 SMOKE_JSONL="target/ci_smoke_obs_t${SMOKE_THREADS}.jsonl"
 SMOKE_EXPO="target/ci_smoke_expo_t${SMOKE_THREADS}.prom"
-rm -rf "$SMOKE_JSONL" "$SMOKE_EXPO" "$SMOKE_RUNS"
+SMOKE_MD="target/ci_smoke_table2x_t${SMOKE_THREADS}.md"
+SMOKE_OUT="target/ci_smoke_table2x_t${SMOKE_THREADS}.json"
+rm -rf "$SMOKE_JSONL" "$SMOKE_EXPO" "$SMOKE_MD" "$SMOKE_OUT" "$SMOKE_RUNS"
 SEQREC_THREADS="$SMOKE_THREADS" \
 SEQREC_OBS="console=silent,jsonl=$SMOKE_JSONL,mem=all,expo=$SMOKE_EXPO" \
     cargo run --offline --release -p seqrec-experiments --bin table2x -- \
     --scale 0.005 --epochs 2 --pretrain-epochs 1 --datasets beauty \
-    --runs-dir "$SMOKE_RUNS" >/dev/null
+    --runs-dir "$SMOKE_RUNS" --out "$SMOKE_OUT" >"$SMOKE_MD"
 python3 - "$SMOKE_JSONL" <<'PY'
 import json
 import sys
@@ -148,6 +152,14 @@ echo "$PROF_OUT" | grep -q "== span hierarchy ==" || { echo "missing span hierar
 [ -s "$SMOKE_FOLDED" ] || { echo "empty folded stacks in $SMOKE_FOLDED"; exit 1; }
 echo "$PROF_OUT" | head -1
 done
+
+# Training and evaluation are bit-exact at any pool size, so the smoke's
+# printed tables and its full-precision JSON results must not depend on it.
+echo "== table2x smoke output identical at SEQREC_THREADS=1 and 2"
+for ext in md json; do
+    cmp "target/ci_smoke_table2x_t1.$ext" "target/ci_smoke_table2x_t2.$ext"
+done
+echo "table2x smoke output OK: markdown and JSON results byte-identical"
 
 echo "== run-ledger validation"
 python3 - "$SMOKE_RUNS/table2x-42" <<'PY'

@@ -8,12 +8,9 @@
 //! iteration count so one sample costs roughly `TARGET_SAMPLE_NANOS`;
 //! `sample_size` samples are then timed and summarized as mean ± stddev.
 //! With `Throughput::Elements(n)` the element rate (= GFLOP/s when `n` is
-//! the FLOP count) is printed and recorded. Every result is appended as a
-//! JSON line to `target/criterion-shim/results.jsonl` for downstream
-//! scripts (`scripts/bench_matmul.sh`).
+//! the FLOP count) is printed too: one line per benchmark on stdout.
 
 use std::fmt::Display;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// Target wall-clock cost of one sample.
@@ -161,7 +158,7 @@ impl BenchmarkGroup<'_> {
     /// Ends the group.
     pub fn finish(self) {}
 
-    fn record(&mut self, id: &BenchmarkId, b: &Bencher) {
+    fn record(&self, id: &BenchmarkId, b: &Bencher) {
         if b.sample_means_ns.is_empty() {
             return;
         }
@@ -177,44 +174,25 @@ impl BenchmarkGroup<'_> {
         let mean = b.sample_means_ns.iter().sum::<f64>() / n;
         let var = b.sample_means_ns.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>()
             / n.max(2.0 - 1.0);
-        let std = var.sqrt();
-        let rate = self.throughput.map(|t| match t {
-            Throughput::Elements(e) | Throughput::Bytes(e) => e as f64 / (mean * 1e-9),
-        });
-        self.criterion.report(ReportLine {
-            id: full_id,
-            group: self.name.clone(),
-            function: id.name.clone(),
-            param: id.param.clone(),
-            mean_ns: mean,
-            std_ns: std,
-            samples: b.sample_means_ns.len(),
-            iters_per_sample: b.iters_per_sample,
-            elements_per_iter: self.throughput.map(|t| match t {
-                Throughput::Elements(e) | Throughput::Bytes(e) => e,
-            }),
-            rate_per_sec: rate,
-        });
+        let rate = match self.throughput {
+            Some(Throughput::Elements(e) | Throughput::Bytes(e)) => {
+                format!("  thrpt: {:.3} Gelem/s", e as f64 / mean)
+            }
+            None => String::new(),
+        };
+        println!(
+            "{full_id:<48} time: {} ± {}{rate}  ({} samples × {} iters)",
+            format_ns(mean),
+            format_ns(var.sqrt()),
+            b.sample_means_ns.len(),
+            b.iters_per_sample,
+        );
     }
 }
 
-struct ReportLine {
-    id: String,
-    group: String,
-    function: String,
-    param: Option<String>,
-    mean_ns: f64,
-    std_ns: f64,
-    samples: usize,
-    iters_per_sample: u64,
-    elements_per_iter: Option<u64>,
-    rate_per_sec: Option<f64>,
-}
-
-/// Benchmark driver; collects results and appends them to the JSONL report.
+/// Runs benchmark groups, keeping the command line's id filter.
 pub struct Criterion {
     filter: Option<String>,
-    out_path: std::path::PathBuf,
 }
 
 impl Default for Criterion {
@@ -222,18 +200,7 @@ impl Default for Criterion {
         // Respect an explicit filter argument (`cargo bench -- <substr>`)
         // while ignoring criterion CLI flags like --noplot / --bench.
         let filter = std::env::args().skip(1).find(|a| !a.starts_with('-') && !a.is_empty());
-        // Bench processes run with CWD = package dir, so a relative default
-        // lands in <package>/target. Scripts aggregating across packages set
-        // CRITERION_SHIM_OUT (or CARGO_TARGET_DIR) to collect in one place.
-        let out_dir = std::env::var_os("CRITERION_SHIM_OUT")
-            .map(std::path::PathBuf::from)
-            .or_else(|| {
-                std::env::var_os("CARGO_TARGET_DIR")
-                    .map(|t| std::path::Path::new(&t).join("criterion-shim"))
-            })
-            .unwrap_or_else(|| std::path::Path::new("target").join("criterion-shim"));
-        let _ = std::fs::create_dir_all(&out_dir);
-        Criterion { filter, out_path: out_dir.join("results.jsonl") }
+        Criterion { filter }
     }
 }
 
@@ -248,57 +215,6 @@ impl Criterion {
             Some(f) => id.contains(f.as_str()),
             None => true,
         }
-    }
-
-    fn report(&mut self, line: ReportLine) {
-        let human_time = format_ns(line.mean_ns);
-        let rate = match line.rate_per_sec {
-            Some(r) => format!("  thrpt: {:.3} Gelem/s", r / 1e9),
-            None => String::new(),
-        };
-        println!(
-            "{:<48} time: {human_time} ± {}{rate}  ({} samples × {} iters)",
-            line.id,
-            format_ns(line.std_ns),
-            line.samples,
-            line.iters_per_sample,
-        );
-        let json = format!(
-            concat!(
-                "{{\"id\":\"{}\",\"group\":\"{}\",\"function\":\"{}\",\"param\":{},",
-                "\"mean_ns\":{},\"std_ns\":{},\"samples\":{},\"iters_per_sample\":{},",
-                "\"elements_per_iter\":{},\"rate_per_sec\":{}}}"
-            ),
-            line.id,
-            line.group,
-            line.function,
-            match &line.param {
-                Some(p) => format!("\"{p}\""),
-                None => "null".to_string(),
-            },
-            line.mean_ns,
-            line.std_ns,
-            line.samples,
-            line.iters_per_sample,
-            match line.elements_per_iter {
-                Some(e) => e.to_string(),
-                None => "null".to_string(),
-            },
-            match line.rate_per_sec {
-                Some(r) => format!("{r}"),
-                None => "null".to_string(),
-            },
-        );
-        if let Ok(mut f) =
-            std::fs::OpenOptions::new().create(true).append(true).open(&self.out_path)
-        {
-            let _ = writeln!(f, "{json}");
-        }
-    }
-
-    /// Prints the closing line (called by `criterion_main!`).
-    pub fn final_summary(&mut self) {
-        println!("criterion-shim: results appended to {}", self.out_path.display());
     }
 }
 
@@ -331,7 +247,6 @@ macro_rules! criterion_main {
         fn main() {
             let mut c = $crate::Criterion::default();
             $( $group(&mut c); )+
-            c.final_summary();
         }
     };
 }

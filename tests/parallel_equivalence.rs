@@ -1,7 +1,7 @@
 //! Parallel-vs-serial equivalence: pins the determinism contract of the
-//! multi-threaded training stack.
+//! multi-threaded training and evaluation stack.
 //!
-//! Five claims are checked:
+//! Six claims are checked:
 //! 1. Augmented contrastive batches are **bit-exact** across pool sizes —
 //!    per-sequence ChaCha substreams make the sampled views a function of
 //!    `(aug_base, sequence index)` only, never of worker count.
@@ -19,6 +19,8 @@
 //!    one pool task that runs its heads in order, and each head slice
 //!    draws its dropout mask from the caller's stream seeked to the
 //!    slice's first weight.
+//! 6. Evaluation metrics are **bit-exact** across pool sizes: users are
+//!    ranked in parallel, but their ranks enter the f64 sums in user order.
 
 use cp4rec_repro::cl4srec::{AugmentationSet, Cl4sRec, Cl4sRecConfig};
 use cp4rec_repro::data::{Dataset, Split};
@@ -248,5 +250,37 @@ fn attention_is_bit_exact_across_pool_sizes() {
                 }
             }
         }
+    }
+}
+
+/// Claim 6: on pools of 1, 2 and 4 workers, `evaluate` returns the same
+/// HR, NDCG and MRR bits. The 700 users span three 256-user chunks and
+/// their ranks vary, so NDCG and MRR each sum hundreds of distinct terms:
+/// any grouping of those sums that followed the pool size would show in
+/// the last bits.
+#[test]
+fn evaluation_metrics_are_bit_exact_across_pool_sizes() {
+    use cp4rec_repro::eval::{evaluate, EvalOptions, EvalTarget, SequenceScorer};
+    /// Scores every item by a hash of (user, item): cheap, and a different
+    /// target rank for almost every user.
+    struct Hashed(usize);
+    impl SequenceScorer for Hashed {
+        fn num_items(&self) -> usize {
+            self.0
+        }
+        fn score_full_catalog(&self, users: &[usize], _inputs: &[&[u32]]) -> Vec<Vec<f32>> {
+            let score = |u: usize, i: usize| ((u * 7_919 + i * 104_729) % 1_009) as f32;
+            users.iter().map(|&u| (0..=self.0).map(|i| score(u, i)).collect()).collect()
+        }
+    }
+    let split = Split::leave_one_out(&toy_dataset(200, 700));
+    let run = || {
+        let m = evaluate(&Hashed(200), &split, EvalTarget::Test, &EvalOptions::default());
+        assert_eq!(m.users, 700);
+        m.hr.iter().chain(&m.ndcg).chain([&m.mrr]).map(|x| x.to_bits()).collect::<Vec<_>>()
+    };
+    let serial = pool(1).install(run);
+    for threads in [2, 4] {
+        assert_eq!(pool(threads).install(run), serial, "{threads} workers");
     }
 }

@@ -1,7 +1,8 @@
 //! Serve admission: a request whose history names an item outside the
-//! catalog is rejected before the encoder sees it. Its client gets `None`,
-//! the valid requests of the same batch get the evaluator's ranking bit for
-//! bit, and the worker keeps serving.
+//! catalog, or whose user index is past the model's user table, is rejected
+//! before the encoder sees it. Its client gets `None`, the valid requests
+//! of the same batch get the evaluator's ranking bit for bit, and the
+//! worker keeps serving.
 //!
 //! The test reads process-global serve instruments, so it is the only test
 //! in its file (each file of `tests/` runs as its own process).
@@ -13,7 +14,7 @@ use cp4rec_repro::data::synthetic::{generate_dataset, SyntheticConfig};
 use cp4rec_repro::data::Split;
 use cp4rec_repro::eval::SequenceScorer;
 use cp4rec_repro::models::checkpoint::save_to_vec;
-use cp4rec_repro::models::{EncoderConfig, SasRec};
+use cp4rec_repro::models::{BprMf, BprMfConfig, EncoderConfig, SasRec};
 use seqrec_obs::metrics;
 use seqrec_serve::service::rank;
 use seqrec_serve::{AnyModel, BatchingServer, ServerConfig};
@@ -86,7 +87,24 @@ fn out_of_catalog_requests_get_none_and_their_batch_is_served_bit_exactly() {
     });
     drop(server);
 
-    assert_eq!(metrics::SERVE_ERRORS.get() - errors, poisons.len() as u64 + 5, "serve.errors");
+    // A user index past the user table is rejected the same way: BPR-MF
+    // answers user 3, refuses user 99, and then still answers user 3 with
+    // the evaluator's bits.
+    let bpr = BprMf::new(BprMfConfig::default(), split.num_users(), n, 7);
+    let bpr = AnyModel::load_from_bytes(&save_to_vec(&bpr)).expect("loads");
+    assert!(split.num_users() < 99);
+    let expected = rank(&bpr.score_full_catalog(&[3], &refs[3..4]), k);
+    let server = BatchingServer::spawn(bpr, ServerConfig::default());
+    {
+        let client = server.client();
+        assert_eq!(client.recommend(3, refs[3], k).as_ref(), Some(&expected[0]));
+        assert_eq!(client.recommend(99, refs[3], k), None, "unknown user 99 was served");
+        assert_eq!(client.recommend(3, refs[3], k).as_ref(), Some(&expected[0]), "worker died");
+    } // `drop(server)` joins the worker, which waits for every client to go
+    drop(server);
+
+    let rejected = poisons.len() as u64 + 5 + 1;
+    assert_eq!(metrics::SERVE_ERRORS.get() - errors, rejected, "serve.errors");
     assert_eq!(metrics::SERVE_IN_FLIGHT.get(), in_flight, "serve.in_flight unbalanced");
     assert_eq!(metrics::SERVE_QUEUE.get(), queue, "serve.queue unbalanced");
 }
